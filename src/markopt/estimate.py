@@ -698,7 +698,20 @@ def read_results_csv(path: str) -> list[dict]:
     return out
 
 
+def _finite_or_null(obj: object) -> object:
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def write_json(path: str, obj: object) -> None:
+    """Write strict JSON: non-finite floats, such as the -inf total of an
+    inadmissible marking or the NaN mean of a policy that is inadmissible on
+    every replicate, become null."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        json.dump(_finite_or_null(obj), fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")

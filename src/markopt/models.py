@@ -346,7 +346,13 @@ class ScoreModel:
         return self.sample_mark(c, i, g)
 
     def affected_points(self, c: Configuration, changed: tuple[int, ...]) -> tuple[int, ...]:
-        """Superset of points whose score can move when the given marks change."""
+        """Superset of points whose score can move when the opt marks at
+        ``changed`` change, in increasing order and including ``changed``.
+
+        The set may depend on positions and base marks but never on opt
+        marks: local search caches swap gains and reuses a gain for as long
+        as no accepted swap's affected set meets the swap's own.
+        """
         return tuple(range(c.n_points))
 
     def default_base_sampler(self, window: Window) -> BaseSampler | None:
@@ -664,12 +670,14 @@ class MatchingModel(ScoreModel):
         return candidates[int(g.integers(0, len(candidates)))]
 
     def affected_points(self, c: Configuration, changed: tuple[int, ...]) -> tuple[int, ...]:
-        out = set(changed)
-        for j in range(c.n_points):
-            mark = c.points[j].opt
-            if isinstance(mark, PartnerIndex) and mark.index in out:
-                out.add(j)
-        return tuple(sorted(out))
+        # a score reads the marks of its point and of its partner, and only a
+        # partner of the opposite color can move it; current partner pointers
+        # would give a smaller set, but one that depends on opt marks
+        own = set(changed)
+        colors = {c.points[i].base.color for i in changed}
+        return tuple(
+            j for j in range(c.n_points) if j in own or colors != {c.points[j].base.color}
+        )
 
     def default_base_sampler(self, window: Window) -> BaseSampler:
         return color_sampler(self.p_blue)

@@ -7,6 +7,14 @@ breaking none has gain +inf and is always accepted first, a swap that breaks
 any point has gain -inf and is never accepted.  Search is exhaustive over
 all swaps up to a size cap when the mark space is small enough to certify
 the result, and randomized proposal sampling otherwise.
+
+``local_search`` applies the best single swap per round.  It keeps every
+point's score across rounds, and in exhaustive mode each swap set's best
+gain; after an accepted swap it rescores only the points that swap affects
+and re-evaluates only the swap sets whose affected sets meet them.  The
+influence domains and compatible-subset selection at the end of this module
+are the paper's aggregated improvement step; ``local_search`` does not use
+them yet.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from .core import (
     Configuration,
     NEG_INF,
     POS_INF,
+    MarkedPoint,
     OptMark,
     ValidationError,
     Window,
@@ -90,7 +99,7 @@ class SearchTrace:
     initial_total: float
     steps: list[TraceStep] = field(default_factory=list)
     certificate: str = ""
-    swap_evaluations: int = 0
+    swap_evaluations: int = 0  # swap gains evaluated over the whole search
 
 
 def total_window_score(c: Configuration, model: ScoreModel) -> float:
@@ -111,22 +120,6 @@ def score_difference(c: Configuration, swap: SwapProposal, model: ScoreModel) ->
     affected = model.affected_points(c, swap.indices)
     return sum_score_diffs(
         score_diff(model.score_at(after, j), model.score_at(c, j)) for j in affected
-    )
-
-
-def _before_scores(c: Configuration, model: ScoreModel) -> list[float]:
-    return [model.checked_score_at(c, i) for i in range(c.n_points)]
-
-
-def _gain(
-    c: Configuration,
-    model: ScoreModel,
-    after: Configuration,
-    affected: tuple[int, ...],
-    before: list[float],
-) -> float:
-    return sum_score_diffs(
-        score_diff(model.score_at(after, j), before[j]) for j in affected
     )
 
 
@@ -155,11 +148,159 @@ def exhaustive_feasible(
     return width ** len(pool) * len(pool) <= 10**6
 
 
+class _SearchState:
+    """The current marks of one search and the work its rounds can reuse.
+
+    It holds the checked score of every point.  In exhaustive mode it also
+    holds every swap set (index combination, in enumeration order) with its
+    affected set, a reverse index from each point to the sets whose affected
+    set contains it, and each set's best ``(gain, swap)``.  Affected sets do
+    not depend on opt marks, so a set's gains can only change when an
+    accepted swap rescores a point of its affected set: ``accept`` marks
+    exactly those sets stale and ``find`` refills them lazily, in
+    enumeration order.
+    """
+
+    def __init__(self, c: Configuration, model: ScoreModel, params: SearchParams) -> None:
+        self.model = model
+        self.params = params
+        self.points = list(c.points)
+        # the current configuration; its point list is updated in place
+        self.view = _replace_points(c, self.points)
+        self.scores = [model.checked_score_at(c, i) for i in range(c.n_points)]
+        self.pool = _swap_pool(c, params) if c.n_points else ()
+        self.exhaustive = params.mode == "exhaustive" or (
+            params.mode == "auto" and exhaustive_feasible(c, model, self.pool)
+        )
+        self.evaluations = 0  # swap gains evaluated
+        if self.exhaustive:
+            self._index_swap_sets(c)
+
+    def _index_swap_sets(self, c: Configuration) -> None:
+        model, params = self.model, self.params
+        self.options: dict[int, list[tuple[OptMark, MarkedPoint]]] = {}
+        for i in self.pool:
+            cand = model.mark_candidates(c, i)
+            if cand is None:
+                raise ValidationError("exhaustive search needs a finite mark space")
+            self.options[i] = [(m, replace(c.points[i], opt=m)) for m in cand]
+        k_max = min(params.k_max, len(self.pool))
+        self.combos = [
+            combo
+            for k in range(1, k_max + 1)
+            for combo in itertools.combinations(self.pool, k)
+        ]
+        self.affected = [model.affected_points(c, combo) for combo in self.combos]
+        self.sets_at: dict[int, list[int]] = {}
+        for s, affected in enumerate(self.affected):
+            for j in affected:
+                self.sets_at.setdefault(j, []).append(s)
+        self.best: list[tuple[float, SwapProposal | None] | None] = [None] * len(self.combos)
+
+    def configuration(self) -> Configuration:
+        return _replace_points(self.view, tuple(self.points))
+
+    def find(self, stream: int) -> SwapProposal | None:
+        if not self.pool:
+            return None
+        if self.exhaustive:
+            return self._find_exhaustive()
+        return self._find_randomized(stream)
+
+    def accept(self, swap: SwapProposal) -> float:
+        """Apply the swap, rescore the points it affects and return its gain."""
+        model, points, scores = self.model, self.points, self.scores
+        for i, mark in zip(swap.indices, swap.new_marks):
+            points[i] = replace(points[i], opt=mark)
+        affected = model.affected_points(self.view, swap.indices)
+        after = [model.checked_score_at(self.view, j) for j in affected]
+        gain = sum_score_diffs(score_diff(a, scores[j]) for j, a in zip(affected, after))
+        for j, a in zip(affected, after):
+            scores[j] = a
+        if self.exhaustive:
+            for j in affected:
+                for s in self.sets_at.get(j, ()):
+                    self.best[s] = None
+        return gain
+
+    def _gain(
+        self, combo: tuple[int, ...], new_points: list[MarkedPoint], affected: tuple[int, ...]
+    ) -> float:
+        """Gain of putting new_points at combo, over the cached scores."""
+        self.evaluations += 1
+        points, score_at, view, before = self.points, self.model.score_at, self.view, self.scores
+        saved = [points[i] for i in combo]
+        for i, p in zip(combo, new_points):
+            points[i] = p
+        gain = sum_score_diffs(score_diff(score_at(view, j), before[j]) for j in affected)
+        for i, p in zip(combo, saved):
+            points[i] = p
+        return gain
+
+    def _find_exhaustive(self) -> SwapProposal | None:
+        best_gain = self.params.delta_min
+        best: SwapProposal | None = None
+        for s, entry in enumerate(self.best):
+            if entry is None:
+                entry = self.best[s] = self._best_in_set(s)
+            gain, swap = entry
+            if gain == POS_INF:
+                return swap
+            if gain > best_gain:
+                best_gain, best = gain, swap
+        return best
+
+    def _best_in_set(self, s: int) -> tuple[float, SwapProposal | None]:
+        """First highest gain over the set's mark choices, stopping at +inf."""
+        combo, affected, points = self.combos[s], self.affected[s], self.points
+        choices = [[o for o in self.options[i] if o[0] != points[i].opt] for i in combo]
+        best_gain, best_marks = NEG_INF, None
+        for choice in itertools.product(*choices):
+            gain = self._gain(combo, [p for _, p in choice], affected)
+            if gain > best_gain:
+                best_gain, best_marks = gain, tuple(m for m, _ in choice)
+                if gain == POS_INF:
+                    break
+        return best_gain, None if best_marks is None else SwapProposal(combo, best_marks)
+
+    def _find_randomized(self, stream: int) -> SwapProposal | None:
+        model, params, pool, points, view = (
+            self.model, self.params, self.pool, self.points, self.view
+        )
+        k_max = min(params.k_max, len(pool))
+        g = rng(params.seed, _PROPOSAL_STREAM, stream)
+        best_gain = params.delta_min
+        best: tuple[tuple[int, ...], tuple[OptMark, ...]] | None = None
+        for _ in range(params.trial_budget):
+            k = int(g.integers(1, k_max + 1))
+            combo = tuple(sorted(pool[int(j)] for j in g.choice(len(pool), size=k, replace=False)))
+            marks = []
+            for i in combo:
+                current = points[i].opt
+                cand = model.mark_candidates(view, i)
+                if cand is None:
+                    marks.append(model.perturb_mark(view, i, current, g))
+                else:
+                    alts = [m for m in cand if m != current]
+                    if not alts:
+                        marks.append(current)
+                        continue
+                    marks.append(alts[int(g.integers(0, len(alts)))])
+            new_points = [replace(points[i], opt=m) for i, m in zip(combo, marks)]
+            gain = self._gain(combo, new_points, model.affected_points(view, combo))
+            if gain == POS_INF:
+                return SwapProposal(combo, tuple(marks))
+            if gain > best_gain:
+                best_gain, best = gain, (combo, tuple(marks))
+        return None if best is None else SwapProposal(*best)
+
+
 def find_valid_swap(
     c: Configuration,
     model: ScoreModel,
     params: SearchParams,
     stream: int = 0,
+    state: _SearchState | None = None,
 ) -> SwapProposal | None:
     """Best swap of size <= k_max with gain above delta_min, or None.
 
@@ -169,96 +310,13 @@ def find_valid_swap(
     (repair) is returned as soon as it is seen.  Randomized mode evaluates
     trial_budget seeded proposals and keeps the best.  Swaps touch only
     params.indices when that restriction is set.
+
+    ``state`` is the search state that ``local_search`` keeps across rounds
+    for the configuration ``c``; without it, a fresh one is built from ``c``.
     """
-    if c.n_points == 0:
-        return None
-    pool = _swap_pool(c, params)
-    exhaustive = params.mode == "exhaustive" or (
-        params.mode == "auto" and exhaustive_feasible(c, model, pool)
-    )
-    if exhaustive:
-        return _find_swap_exhaustive(c, model, params, pool)
-    return _find_swap_randomized(c, model, params, pool, stream)
-
-
-def _find_swap_exhaustive(
-    c: Configuration, model: ScoreModel, params: SearchParams, pool: tuple[int, ...]
-) -> SwapProposal | None:
-    k_max = min(params.k_max, len(pool))
-    before = _before_scores(c, model)
-    base_points = list(c.points)
-    shared = list(c.points)
-    after = _replace_points(c, shared)
-    alternatives: dict[int, tuple[OptMark, ...]] = {}
-    repl: dict[int, list] = {}
-    for i in pool:
-        cand = model.mark_candidates(c, i)
-        if cand is None:
-            raise ValidationError("exhaustive search needs a finite mark space")
-        alts = tuple(m for m in cand if m != c.points[i].opt)
-        alternatives[i] = alts
-        repl[i] = [replace(c.points[i], opt=m) for m in alts]
-    best_gain = params.delta_min
-    best: SwapProposal | None = None
-    for k in range(1, k_max + 1):
-        for combo in itertools.combinations(pool, k):
-            if not all(alternatives[i] for i in combo):
-                continue
-            affected = model.affected_points(c, combo)
-            for choice in itertools.product(*(range(len(alternatives[i])) for i in combo)):
-                for i, mi in zip(combo, choice):
-                    shared[i] = repl[i][mi]
-                gain = _gain(c, model, after, affected, before)
-                for i in combo:
-                    shared[i] = base_points[i]
-                if gain == POS_INF:
-                    return SwapProposal(
-                        combo, tuple(alternatives[i][mi] for i, mi in zip(combo, choice))
-                    )
-                if gain > best_gain:
-                    best_gain = gain
-                    best = SwapProposal(
-                        combo, tuple(alternatives[i][mi] for i, mi in zip(combo, choice))
-                    )
-    return best
-
-
-def _find_swap_randomized(
-    c: Configuration,
-    model: ScoreModel,
-    params: SearchParams,
-    pool: tuple[int, ...],
-    stream: int,
-) -> SwapProposal | None:
-    k_max = min(params.k_max, len(pool))
-    g = rng(params.seed, _PROPOSAL_STREAM, stream)
-    before = _before_scores(c, model)
-    best_gain = params.delta_min
-    best: SwapProposal | None = None
-    for _ in range(params.trial_budget):
-        k = int(g.integers(1, k_max + 1))
-        combo = tuple(sorted(pool[int(j)] for j in g.choice(len(pool), size=k, replace=False)))
-        marks = []
-        for i in combo:
-            cand = model.mark_candidates(c, i)
-            if cand is None:
-                marks.append(model.perturb_mark(c, i, c.points[i].opt, g))
-            else:
-                alts = [m for m in cand if m != c.points[i].opt]
-                if not alts:
-                    marks.append(c.points[i].opt)
-                    continue
-                marks.append(alts[int(g.integers(0, len(alts)))])
-        swap = SwapProposal(combo, tuple(marks))
-        after = apply_swap(c, swap)
-        affected = model.affected_points(c, combo)
-        gain = _gain(c, model, after, affected, before)
-        if gain == POS_INF:
-            return swap
-        if gain > best_gain:
-            best_gain = gain
-            best = swap
-    return best
+    if state is None:
+        state = _SearchState(c, model, params)
+    return state.find(stream)
 
 
 def initialize_marks(
@@ -287,27 +345,21 @@ def local_search(
     total, which is strictly increasing whenever finite.
     """
     c = initialize_marks(c, model, params)
-    trace = SearchTrace(initial_total=total_window_score(c, model))
-    pool = _swap_pool(c, params) if c.n_points else ()
-    exhaustive = params.mode == "exhaustive" or (
-        params.mode == "auto" and exhaustive_feasible(c, model, pool)
-    )
+    state = _SearchState(c, model, params)
+    trace = SearchTrace(initial_total=total_score(state.scores), certificate="max-rounds")
     for round_index in range(params.max_rounds):
-        swap = find_valid_swap(c, model, params, stream=round_index)
+        swap = find_valid_swap(state.view, model, params, stream=round_index, state=state)
         if swap is None:
             trace.certificate = (
-                f"locally-optimal-k{min(params.k_max, max(len(pool), 1))}"
-                if exhaustive
+                f"locally-optimal-k{min(params.k_max, max(len(state.pool), 1))}"
+                if state.exhaustive
                 else "uncertified-budget-exhausted"
             )
-            return c, trace
-        gain = score_difference(c, swap, model)
-        c = apply_swap(c, swap)
-        trace.steps.append(
-            TraceStep(round_index, swap.indices, gain, total_window_score(c, model))
-        )
-    trace.certificate = "max-rounds"
-    return c, trace
+            break
+        gain = state.accept(swap)
+        trace.steps.append(TraceStep(round_index, swap.indices, gain, total_score(state.scores)))
+    trace.swap_evaluations = state.evaluations
+    return state.configuration(), trace
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line driver: spec loading, pipelines, exit codes, reproducibility."""
 
 import json
+import math
 import os
 
 import pytest
@@ -294,7 +295,9 @@ class TestOptimizePipeline:
         assert sum(summary["certificates"].values()) == 3
         assert all(k.startswith("locally-optimal") for k in summary["certificates"])
         for info in summary["traces"]:
-            assert info["final_total"] >= info["initial_total"]
+            # null stands for the -inf total of an inadmissible start
+            initial = -math.inf if info["initial_total"] is None else info["initial_total"]
+            assert info["final_total"] >= initial
         for k in range(3):
             marked = load_configuration(str(out / "marked" / f"rep_{k:05d}.json"))
             assert all(p.opt is not None for p in marked.points)
@@ -335,6 +338,36 @@ class TestOptimizePipeline:
         for k in range(4):
             rel = os.path.join("marked", f"rep_{k:05d}.json")
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
+        summary = (out_a / "optimize_summary.json").read_bytes()
+        assert summary == (out_b / "optimize_summary.json").read_bytes()
+        assert main(["optimize", "--spec", path, "--out", str(out_b), "--threads", "1"]) == 0
+        assert summary == (out_b / "optimize_summary.json").read_bytes()
+        traces = json.loads(summary)["traces"]
+        assert all(t["swap_evaluations"] > 0 for t in traces if t["rounds"] > 0)
+        assert any(t["rounds"] > 0 for t in traces)
+
+    def test_summaries_are_strict_json(self, tmp_path):
+        """Non-finite totals and means are written as null, never as NaN or
+        Infinity: every start below is inadmissible, and so is every iid
+        random marking of a 60-site chain."""
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        obj = wr_line_spec(n=60, replicates=3, policies=["random-iid", "local-search"])
+        path = write_spec(tmp_path, obj)
+        out = tmp_path / "run"
+        for command in ("generate", "optimize", "exact", "estimate"):
+            assert main([command, "--spec", path, "--out", str(out)]) == 0
+        summaries = {
+            name: json.loads((out / name).read_text(), parse_constant=reject)
+            for name in ("optimize_summary.json", "exact_summary.json", "estimate_summary.json")
+        }
+        traces = summaries["optimize_summary.json"]["traces"]
+        assert [t["initial_total"] for t in traces] == [None] * 3
+        assert all(isinstance(t["final_total"], float) for t in traces)
+        random_iid = summaries["estimate_summary.json"]["random-iid"]
+        assert random_iid["mean"] is None and random_iid["inadmissible_fraction"] == 1.0
 
 
 class TestEstimatePipeline:

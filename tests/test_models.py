@@ -505,3 +505,67 @@ def test_affected_points_superset_of_changed():
     assert set(affected) >= {4, 7}
     assert set(affected) == {3, 4, 5, 6, 7, 8}
     assert list(affected) == sorted(affected)
+
+
+def _finite_mark_case(model, window, intensity, seed):
+    c = sample_poisson_configuration(
+        window, intensity, model.kind, model.default_base_sampler(window), seed
+    )
+    return c, model
+
+
+# every model with a finite mark space, on windows dense enough to interact
+FINITE_MARK_CASES = {
+    "hardcore-1d": lambda s: _finite_mark_case(
+        HardcoreModel(0.2, 0.6), periodic_cube(1, 6.0), 1.5, s
+    ),
+    "hardcore-2d": lambda s: _finite_mark_case(
+        HardcoreModel(0.2, 0.6), periodic_cube(2, 4.0), 1.0, s
+    ),
+    "wr_line": lambda s: (sample_weighted_line(12, s), WidomRowlinsonModel(graph="line")),
+    "wr_tree": lambda s: (sample_weighted_tree(2, s), WidomRowlinsonModel(graph="tree")),
+    "caching-1d": lambda s: _finite_mark_case(
+        CachingModel(radius_lo=0.3, radius_hi=1.0), periodic_cube(1, 6.0), 1.5, s
+    ),
+    "caching-2d": lambda s: _finite_mark_case(
+        CachingModel(radius_lo=0.3, radius_hi=1.0, resolution=0.1), periodic_cube(2, 3.0), 1.0, s
+    ),
+    "matching": lambda s: _finite_mark_case(MatchingModel(), periodic_cube(2, 3.0), 1.0, s),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", sorted(FINITE_MARK_CASES))
+def test_affected_points_contract(case, seed):
+    """The affected set ignores opt marks and holds every point whose score
+    a swap of the changed marks moves."""
+    c, m = FINITE_MARK_CASES[case](seed)
+    n = c.n_points
+    if n < 2:
+        pytest.skip("draw too small")
+    g = rng(seed, 8)
+
+    def redraw(config):
+        return config.with_opt_marks(
+            {i: m.sample_mark(config, i, g) for i in range(config.n_points)}
+        )
+
+    marked = [redraw(c) for _ in range(3)]
+    for _ in range(6):
+        k = int(g.integers(1, min(3, n) + 1))
+        changed = tuple(sorted(int(i) for i in g.choice(n, size=k, replace=False)))
+        affected = m.affected_points(marked[0], changed)
+        assert set(changed) <= set(affected)
+        assert list(affected) == sorted(affected)
+        for config in marked:
+            assert m.affected_points(config, changed) == affected
+            cands = [m.mark_candidates(config, i) for i in changed]
+            swapped = config.with_opt_marks(
+                {i: cand[int(g.integers(0, len(cand)))] for i, cand in zip(changed, cands)}
+            )
+            moved = {
+                j
+                for j in range(n)
+                if repr(m.score_at(swapped, j)) != repr(m.score_at(config, j))
+            }
+            assert moved <= set(affected)

@@ -13,6 +13,7 @@ from markopt.core import (
     Configuration,
     GrainRadius,
     MarkedPoint,
+    PartnerIndex,
     Retain,
     SignMark,
     ValidationError,
@@ -22,8 +23,18 @@ from markopt.core import (
     rng,
     sample_poisson_configuration,
     sample_weighted_line,
+    sample_weighted_tree,
+    score_diff,
+    sum_score_diffs,
 )
-from markopt.models import AlohaModel, HardcoreModel, LilypondModel, WidomRowlinsonModel
+from markopt.models import (
+    AlohaModel,
+    CachingModel,
+    HardcoreModel,
+    LilypondModel,
+    MatchingModel,
+    WidomRowlinsonModel,
+)
 from markopt.optimize import (
     SearchParams,
     SwapProposal,
@@ -221,6 +232,215 @@ def test_fixed_point_verified_by_independent_enumeration():
                 # -inf minus -inf never occurs here: final is admissible
                 raise AssertionError("unexpected indeterminate gain")
             assert gain <= 1e-12
+
+
+# -- reference search ---------------------------------------------------------
+#
+# The search as a full rescan: every round rescores all points and every swap,
+# the accepted swap's gain is measured again, and the whole window is
+# rescored for the trace.  local_search keeps scores and gains across rounds
+# and must reproduce it bit for bit.
+
+
+def reference_gain(c, swap, model, affected_fn):
+    """score_difference, with the affected set supplied by the caller."""
+    after = apply_swap(c, swap)
+    return sum_score_diffs(
+        score_diff(model.score_at(after, j), model.score_at(c, j))
+        for j in affected_fn(c, swap.indices)
+    )
+
+
+def reference_find_swap(c, model, params, pool, exhaustive, stream, affected_fn):
+    before = [model.checked_score_at(c, i) for i in range(c.n_points)]
+    k_max = min(params.k_max, len(pool))
+    best_gain, best = params.delta_min, None
+
+    def gain_of(combo, marks):
+        after = c.with_opt_marks(dict(zip(combo, marks)))
+        return sum_score_diffs(
+            score_diff(model.score_at(after, j), before[j]) for j in affected_fn(c, combo)
+        )
+
+    if exhaustive:
+        for k in range(1, k_max + 1):
+            for combo in itertools.combinations(pool, k):
+                options = [
+                    [m for m in model.mark_candidates(c, i) if m != c.points[i].opt]
+                    for i in combo
+                ]
+                for marks in itertools.product(*options):
+                    gain = gain_of(combo, marks)
+                    if gain == POS_INF:
+                        return SwapProposal(combo, marks)
+                    if gain > best_gain:
+                        best_gain, best = gain, SwapProposal(combo, marks)
+        return best
+    g = rng(params.seed, 92, stream)  # the search's proposal stream
+    for _ in range(params.trial_budget):
+        k = int(g.integers(1, k_max + 1))
+        combo = tuple(sorted(pool[int(j)] for j in g.choice(len(pool), size=k, replace=False)))
+        marks = []
+        for i in combo:
+            cand = model.mark_candidates(c, i)
+            if cand is None:
+                marks.append(model.perturb_mark(c, i, c.points[i].opt, g))
+            else:
+                alts = [m for m in cand if m != c.points[i].opt]
+                if not alts:
+                    marks.append(c.points[i].opt)
+                    continue
+                marks.append(alts[int(g.integers(0, len(alts)))])
+        gain = gain_of(combo, tuple(marks))
+        if gain == POS_INF:
+            return SwapProposal(combo, tuple(marks))
+        if gain > best_gain:
+            best_gain, best = gain, SwapProposal(combo, tuple(marks))
+    return best
+
+
+def reference_local_search(c, model, params, affected_fn=None):
+    affected_fn = affected_fn or model.affected_points
+    c = initialize_marks(c, model, params)
+    pool = params.indices or tuple(range(c.n_points))
+    exhaustive = params.mode == "exhaustive" or (
+        params.mode == "auto" and exhaustive_feasible(c, model, pool)
+    )
+    initial = total_window_score(c, model)
+    steps = []
+    for round_index in range(params.max_rounds):
+        swap = reference_find_swap(c, model, params, pool, exhaustive, round_index, affected_fn)
+        if swap is None:
+            k = min(params.k_max, max(len(pool), 1))
+            certificate = f"locally-optimal-k{k}" if exhaustive else "uncertified-budget-exhausted"
+            break
+        gain = reference_gain(c, swap, model, affected_fn)
+        c = apply_swap(c, swap)
+        steps.append((swap.indices, repr(gain), repr(total_window_score(c, model))))
+    else:
+        certificate = "max-rounds"
+    return c, initial, steps, certificate
+
+
+def _partner_affected(c, changed):
+    """Matching's affected set as partner pointers give it: smaller than the
+    model's, but dependent on opt marks."""
+    out = set(changed)
+    for j in range(c.n_points):
+        mark = c.points[j].opt
+        if isinstance(mark, PartnerIndex) and mark.index in out:
+            out.add(j)
+    return tuple(sorted(out))
+
+
+def _grains(model, dim, side, intensity, seed, retain=None):
+    w = periodic_cube(dim, side)
+    c = sample_poisson_configuration(w, intensity, model.kind, model.default_base_sampler(w), seed)
+    if retain is not None:
+        c = c.with_opt_marks({i: Retain(retain) for i in range(c.n_points)})
+    return c
+
+
+def _random_marks(model, c, seed):
+    g = rng(seed, 5)
+    return c.with_opt_marks({i: model.sample_mark(c, i, g) for i in range(c.n_points)})
+
+
+HC = HardcoreModel(radius_lo=0.2, radius_hi=0.6)
+MATCHING = MatchingModel()
+LILY = LilypondModel()
+ALOHA = AlohaModel(beta=4.0)
+CACHING = CachingModel(radius_lo=0.3, radius_hi=1.0)
+
+WR_TREE = WidomRowlinsonModel(graph="tree")
+EXHAUSTIVE = dict(mode="exhaustive")
+
+# case -> seed -> (configuration, model, search parameters)
+EQUIVALENCE_CASES = {
+    "wr_line-k1": lambda s: (
+        sample_weighted_line(30, s), WR, SearchParams(k_max=1, seed=s, **EXHAUSTIVE)
+    ),
+    "wr_line-k2": lambda s: (
+        sample_weighted_line(12, s), WR, SearchParams(k_max=2, seed=s, **EXHAUSTIVE)
+    ),
+    "wr_line-restricted": lambda s: (
+        sample_weighted_line(20, s),
+        WR,
+        SearchParams(k_max=2, seed=s, indices=(3, 4, 5, 6, 9), **EXHAUSTIVE),
+    ),
+    "wr_tree-k1": lambda s: (
+        sample_weighted_tree(3, s), WR_TREE, SearchParams(k_max=1, seed=s, **EXHAUSTIVE)
+    ),
+    "wr_tree-k2": lambda s: (
+        sample_weighted_tree(2, s), WR_TREE, SearchParams(k_max=2, seed=s, **EXHAUSTIVE)
+    ),
+    "hardcore-1d-discard": lambda s: (
+        _grains(HC, 1, 12.0, 1.5, s), HC, SearchParams(k_max=2, **EXHAUSTIVE)
+    ),
+    "hardcore-1d-retain": lambda s: (
+        _grains(HC, 1, 12.0, 1.5, s, True), HC, SearchParams(k_max=1, **EXHAUSTIVE)
+    ),
+    "hardcore-2d-discard": lambda s: (
+        _grains(HC, 2, 4.0, 1.0, s), HC, SearchParams(k_max=1, **EXHAUSTIVE)
+    ),
+    "hardcore-2d-retain": lambda s: (
+        _grains(HC, 2, 4.0, 1.0, s, True), HC, SearchParams(k_max=2, **EXHAUSTIVE)
+    ),
+    "caching-1d": lambda s: (
+        _grains(CACHING, 1, 6.0, 1.5, s), CACHING, SearchParams(k_max=1, seed=s, **EXHAUSTIVE)
+    ),
+    "matching": lambda s: (
+        _random_marks(MATCHING, _grains(MATCHING, 2, 3.0, 1.0, s), s),
+        MATCHING,
+        SearchParams(k_max=2, **EXHAUSTIVE),
+    ),
+    "hardcore-randomized": lambda s: (
+        _grains(HC, 2, 5.0, 1.0, s, True),
+        HC,
+        SearchParams(k_max=2, seed=s, mode="randomized", trial_budget=40),
+    ),
+    "lilypond-randomized": lambda s: (
+        _grains(LILY, 2, 3.0, 1.0, s),
+        LILY,
+        SearchParams(k_max=2, seed=s, trial_budget=30, max_rounds=25),
+    ),
+    "aloha-randomized": lambda s: (
+        _grains(ALOHA, 2, 3.0, 1.0, s),
+        ALOHA,
+        SearchParams(k_max=1, seed=s, trial_budget=30, max_rounds=25),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_local_search_matches_full_rescan(case, seed):
+    c, model, params = EQUIVALENCE_CASES[case](seed)
+    affected_fn = _partner_affected if model is MATCHING else None
+    ref_final, ref_initial, ref_steps, ref_certificate = reference_local_search(
+        c, model, params, affected_fn
+    )
+    final, trace = local_search(c, model, params)
+    assert repr(trace.initial_total) == repr(ref_initial)
+    assert [(s.indices, repr(s.gain), repr(s.total_after)) for s in trace.steps] == ref_steps
+    assert trace.certificate == ref_certificate
+    assert repr([p.opt for p in final.points]) == repr([p.opt for p in ref_final.points])
+
+
+def test_swap_evaluations_counted():
+    """Every gain evaluated is counted; rounds after the first re-evaluate
+    only the swaps an accepted swap touched."""
+    c = sample_weighted_line(10, 4)
+    c = c.with_opt_marks({i: SignMark("0") for i in range(10)})
+    params = SearchParams(k_max=1, mode="exhaustive")
+    _, trace = local_search(c, WR, params)
+    assert trace.steps
+    assert 2 * 10 <= trace.swap_evaluations < 2 * 10 * (len(trace.steps) + 1)
+    assert local_search(c, WR, params)[1].swap_evaluations == trace.swap_evaluations
+    params = SearchParams(k_max=1, mode="randomized", trial_budget=7, max_rounds=3)
+    _, randomized = local_search(c, WR, params)
+    scans = len(randomized.steps) + (randomized.certificate != "max-rounds")
+    assert randomized.swap_evaluations == 7 * scans > 0
 
 
 def test_repair_accepted_before_finite_gains():
