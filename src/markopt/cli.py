@@ -46,9 +46,6 @@ from .estimate import (
 from .models import MODEL_KINDS, ScoreModel, build_model
 from .optimize import SearchParams, initialize_marks, local_search, total_window_score
 
-CLI_BRUTE_CAP = 10**6  # enumeration budget for the exact command
-
-
 @dataclass
 class ExperimentSpec:
     name: str
@@ -218,39 +215,22 @@ def cmd_optimize(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) ->
     return 0
 
 
-def _enumeration_work(c: Configuration, model: ScoreModel) -> int | None:
-    work = max(c.n_points, 1)
-    for i in range(c.n_points):
-        cand = model.mark_candidates(c, i)
-        if cand is None:
-            return None
-        work *= len(cand)
-        if work > exact.BRUTE_FORCE_CAP:
-            return work
-    return work
-
-
 def exact_marking(c: Configuration, model: ScoreModel) -> tuple[Configuration, dict]:
     """Best available certified marking for one configuration."""
     kind = model.kind
-    if kind in ("hardcore", "caching", "wr_line", "wr_tree", "matching"):
-        work = _enumeration_work(c, model)
-        if kind == "matching":
-            result = exact.matching_optimum(c)
-            return result.configuration, {
-                "method": "permutations",
-                "value": result.value,
-                "multiplicity": result.multiplicity,
-            }
-        if work is not None and work <= CLI_BRUTE_CAP:
-            result = exact.brute_force_optimum(c, model)
-            marked = c.with_opt_marks(dict(enumerate(result.marks)))
-            return marked, {
-                "method": "brute",
-                "value": result.value,
-                "multiplicity": result.multiplicity,
-            }
-        if kind == "wr_line":
+    if kind == "matching":
+        result = exact.matching_optimum(c)
+        return result.configuration, {
+            "method": "permutations",
+            "value": result.value,
+            "multiplicity": result.multiplicity,
+        }
+    if kind in ("hardcore", "caching", "wr_line", "wr_tree"):
+        try:
+            result = exact.brute_force_optimum(c, model, work_cap=10**6)
+        except WorkCapError:
+            if kind != "wr_line":
+                raise
             resolution = exact.wr_unique_marking(c)
             marked = exact.wr_marks_to_configuration(c, resolution.marks)
             return marked, {
@@ -259,9 +239,12 @@ def exact_marking(c: Configuration, model: ScoreModel) -> tuple[Configuration, d
                 "segments": len(resolution.segments),
                 "flags": resolution.flags,
             }
-        raise WorkCapError(
-            f"{kind} instance with {c.n_points} points is too large for enumeration"
-        )
+        marked = c.with_opt_marks(dict(enumerate(result.marks)))
+        return marked, {
+            "method": "brute",
+            "value": result.value,
+            "multiplicity": result.multiplicity,
+        }
     if kind == "lilypond":
         result = exact.lilypond_solve(c)
         marked = exact.lilypond_radii_configuration(c, result.radii)

@@ -359,9 +359,6 @@ class PartnerIndex:
 
 OptMark = Retain | SignMark | RadiusMark | AccessProb | ItemSet | PartnerIndex
 
-Position = "tuple[float, ...] | int"
-
-
 @dataclass(frozen=True)
 class MarkedPoint:
     position: tuple[float, ...] | int
@@ -439,13 +436,30 @@ def positions_array(c: Configuration) -> np.ndarray:
     return np.array([p.position for p in c.points], dtype=float)
 
 
+def torus_cross_distances(window: Window, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) matrix of torus distances from positions a (n, dim) to b (m, dim).
+
+    Squared wrapped differences are added in coordinate order, as in
+    ``torus_distance``, so every entry equals the scalar distance bit for bit.
+    """
+    if window.kind != "cube":
+        raise ValidationError("torus metric requires a cube window")
+    side = window.side
+    out = np.zeros((len(a), len(b)))
+    delta = np.empty_like(out)
+    for k in range(window.dim):
+        np.subtract(a[:, k, None], b[None, :, k], out=delta)
+        np.abs(delta, out=delta)
+        np.minimum(delta, side - delta, out=delta)
+        delta *= delta
+        out += delta
+    return np.sqrt(out, out=out)
+
+
 def pairwise_torus_distances(c: Configuration) -> np.ndarray:
     """(n, n) matrix of pairwise torus distances, zeros on the diagonal."""
     pos = positions_array(c)
-    side = c.window.side
-    delta = np.abs(pos[:, None, :] - pos[None, :, :])
-    delta = np.minimum(delta, side - delta)
-    return np.sqrt((delta**2).sum(axis=2))
+    return torus_cross_distances(c.window, pos, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -519,31 +533,7 @@ def sample_poisson_configuration(
         raise ValidationError(f"intensity must be finite and > 0, got {intensity}")
     g = rng(seed, *stream)
     n = int(g.poisson(intensity * window.volume))
-    return _fill_cube_points(window, n, model_id, base_sampler, g)
 
-
-def sample_fixed_count_configuration(
-    window: Window,
-    n: int,
-    model_id: str,
-    base_sampler: BaseSampler | None,
-    seed: int,
-    *stream: int,
-) -> Configuration:
-    """Exactly n iid uniform points on a periodic cube with iid base marks."""
-    if window.kind != "cube":
-        raise ValidationError("uniform sampling requires a cube window")
-    g = rng(seed, *stream)
-    return _fill_cube_points(window, n, model_id, base_sampler, g)
-
-
-def _fill_cube_points(
-    window: Window,
-    n: int,
-    model_id: str,
-    base_sampler: BaseSampler | None,
-    g: np.random.Generator,
-) -> Configuration:
     points = []
     for _ in range(n):
         pos = tuple(float(x) for x in g.uniform(0.0, window.side, size=window.dim))

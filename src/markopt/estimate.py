@@ -39,12 +39,15 @@ from .core import (
     sample_weighted_line,
     sample_weighted_tree,
     substream_id,
+    torus_cross_distances,
     torus_distance,
+    torus_distance_linf,
 )
 from .models import (
     ScoreModel,
     WidomRowlinsonModel,
     aloha_receiver,
+    aloha_receivers,
     _base_mark,
     _opt_mark,
 )
@@ -228,12 +231,6 @@ def run_replicate(
     c = sample_configuration(model, window, intensity, seed, replicate)
     marked = apply_policy(c, model, policy, seed, replicate)
     total = total_window_score(marked, model)
-    volume = window.volume
-    if marked.n_points and is_admissible(total):
-        # per-point average times point density must reproduce the volume
-        # average; guards the covariant bookkeeping
-        alt = (total / marked.n_points) * (marked.n_points / volume)
-        assert abs(alt - total / volume) <= 1e-12 * max(1.0, abs(total / volume))
     elapsed_ms = (time.perf_counter() - start) * 1e3
     return ReplicateRecord(
         replicate=replicate,
@@ -337,16 +334,6 @@ def hardcore_stab_radius(c: Configuration, i: int) -> float:
     return float(hardcore_stab_radii_all(c)[i])
 
 
-def _receiver_array(c: Configuration) -> np.ndarray:
-    return np.array([aloha_receiver(c, i) for i in range(c.n_points)])
-
-
-def _torus_cross_distances(window: Window, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    delta = np.abs(a[:, None, :] - b[None, :, :])
-    delta = np.minimum(delta, window.side - delta)
-    return np.sqrt((delta**2).sum(axis=-1))
-
-
 def _tail_radius(candidates: np.ndarray, terms: np.ndarray, epsilon: float) -> float:
     """Smallest cube radius whose excluded-term tail is at most epsilon.
 
@@ -383,9 +370,8 @@ def aloha_stab_radii_all(
     if n == 0:
         return np.zeros(0), np.zeros(0)
     pos = positions_array(c)
-    recv = _receiver_array(c)
     # to_recv[j, i]: distance from point j to point i's receiver
-    to_recv = _torus_cross_distances(c.window, pos, recv)
+    to_recv = torus_cross_distances(c.window, pos, aloha_receivers(c))
     with np.errstate(divide="ignore"):
         strength = np.log1p(to_recv ** (-beta))
     linf = _pairwise_linf(c)
@@ -420,18 +406,13 @@ def aloha_truncated_score_at(c: Configuration, i: int, beta: float, radius: floa
     for j, p in enumerate(c.points):
         if j == i:
             continue
-        gap = 2.0 * torus_linf(w, p.position, pos_i)
+        gap = 2.0 * torus_distance_linf(w, p.position, pos_i)
         if gap > radius:
             continue
         dist = torus_distance(w, p.position, recv)
         other = _opt_mark(c, j, AccessProb).prob
         acc += math.log1p(-other / (1.0 + dist**beta))
     return acc
-
-
-def torus_linf(window: Window, x, y) -> float:
-    side = window.side
-    return max(min(abs(a - b), side - abs(a - b)) for a, b in zip(x, y))
 
 
 @dataclass
@@ -538,10 +519,7 @@ def coverage_hit_probability(
         ks = g.choice(np.arange(1, total_items + 1), size=m, p=np.asarray(popularity))
         if n == 0:
             continue
-        delta = np.abs(y[:, None, :] - pos[None, :, :])
-        delta = np.minimum(delta, side - delta)
-        dist = np.sqrt((delta**2).sum(axis=-1))
-        covered = dist <= radii[None, :]
+        covered = torus_cross_distances(c.window, y, pos) <= radii[None, :]
         hits += int((covered & holder[:, ks].T).any(axis=1).sum())
     p = hits / samples
     return p, math.sqrt(max(p * (1.0 - p), 0.0) / samples)
@@ -631,9 +609,7 @@ def campbell_identity_check(
             y = g.uniform(0.0, side, size=(m, 2))
             if len(radii) == 0:
                 continue
-            delta = np.abs(y[:, None, :] - pos[None, :, :])
-            delta = np.minimum(delta, side - delta)
-            dist = np.sqrt((delta**2).sum(axis=-1))
+            dist = torus_cross_distances(c.window, y, pos)
             hits += int((dist < radii[None, :]).any(axis=1).sum())
         p = hits / samples
         se = math.sqrt(max(p * (1.0 - p), 0.0) / samples)

@@ -30,13 +30,15 @@ from .core import (
     WeightPair,
     WorkCapError,
     pairwise_torus_distances,
+    positions_array,
     score_diff,
     sum_score_diffs,
+    torus_cross_distances,
     torus_distance,
     tree_structure,
     tree_vertex_count,
 )
-from .models import ScoreModel
+from .models import ScoreModel, _opt_mark, aloha_receivers, lilypond_constraints
 from .optimize import SwapProposal, total_window_score
 
 BRUTE_FORCE_CAP = 10**7  # evaluated markings times points
@@ -618,9 +620,18 @@ class LilypondResult:
     events: list[LilypondEvent]
 
 
+def _lilypond_distances(c: Configuration) -> np.ndarray:
+    if c.window.kind != "cube":
+        raise ValidationError("lilypond needs a cube window")
+    if c.n_points < 2:
+        raise ValidationError("lilypond growth needs at least 2 points")
+    d = pairwise_torus_distances(c)
+    np.fill_diagonal(d, np.inf)
+    return d
+
+
 def _lilypond_residual(distances: np.ndarray, radii: np.ndarray) -> float:
-    u = np.maximum(distances / 2.0, distances - radii[None, :])
-    np.fill_diagonal(u, np.inf)
+    u = lilypond_constraints(distances, radii)
     return float(np.abs(radii - u.min(axis=1)).max())
 
 
@@ -630,58 +641,43 @@ def lilypond_solve(c: Configuration) -> LilypondResult:
 
     Events are processed in time order: the earliest pending event is either
     two growing balls meeting halfway or a growing ball reaching a frozen
-    one.  The result is hard-core (ball interiors disjoint) and a fixed
-    point of the touch constraints, reported as the residual.
+    one, ties to the first index pair and then to pairs.  A freeze updates
+    only the rows it touches, so the work is O(n^2).  The result is
+    hard-core (ball interiors disjoint) and a fixed point of the touch
+    constraints, reported as the residual.
     """
-    if c.window.kind != "cube":
-        raise ValidationError("lilypond needs a cube window")
+    d = _lilypond_distances(c)
     n = c.n_points
-    if n < 2:
-        raise ValidationError("lilypond growth needs at least 2 points")
-    d = pairwise_torus_distances(c)
-    np.fill_diagonal(d, np.inf)
     radii = np.zeros(n)
-    frozen = np.zeros(n, dtype=bool)
+    growing = np.ones(n, dtype=bool)
+    # each growing ball's earliest pair and frozen events; inf once frozen
+    half = d / 2.0
+    pair_to, pair_at = half.argmin(axis=1), half.min(axis=1)
+    frozen_to, frozen_at = np.full(n, n), np.full(n, np.inf)
+    del half
     events: list[LilypondEvent] = []
     now = 0.0
-    order = 0
-    while not frozen.all():
-        growing = np.flatnonzero(~frozen)
-        done = np.flatnonzero(frozen)
-        best_time = np.inf
-        best: tuple[str, int, int] | None = None
-        if growing.size >= 2:
-            sub = d[np.ix_(growing, growing)] / 2.0
-            flat = int(np.argmin(sub))
-            i0, j0 = divmod(flat, growing.size)
-            t = float(sub[i0, j0])
-            if t < best_time:
-                best_time = t
-                best = ("pair", int(growing[i0]), int(growing[j0]))
-        if done.size:
-            sub = d[np.ix_(growing, done)] - radii[done][None, :]
-            flat = int(np.argmin(sub))
-            i0, j0 = divmod(flat, done.size)
-            t = float(sub[i0, j0])
-            if t < best_time:
-                best_time = t
-                best = ("frozen", int(growing[i0]), int(done[j0]))
-        assert best is not None
-        assert best_time >= now - 1e-9, "events must be chronological"
-        now = max(now, best_time)
-        cause, i, j = best
-        if cause == "pair":
-            lo, hi = min(i, j), max(i, j)
-            radii[lo] = radii[hi] = best_time
-            frozen[lo] = frozen[hi] = True
-            events.append(LilypondEvent(order, lo, best_time, "pair", hi))
-            events.append(LilypondEvent(order + 1, hi, best_time, "pair", lo))
-            order += 2
+    while len(events) < n:
+        i, k = int(pair_at.argmin()), int(frozen_at.argmin())
+        order = len(events)
+        if frozen_at[k] < pair_at[i]:
+            t, newly = float(frozen_at[k]), (k,)
+            events.append(LilypondEvent(order, k, t, "frozen", int(frozen_to[k])))
         else:
-            radii[i] = best_time
-            frozen[i] = True
-            events.append(LilypondEvent(order, i, best_time, "frozen", j))
-            order += 1
+            t, newly = float(pair_at[i]), tuple(sorted((i, int(pair_to[i]))))
+            events.append(LilypondEvent(order, newly[0], t, "pair", newly[1]))
+            events.append(LilypondEvent(order + 1, newly[1], t, "pair", newly[0]))
+        assert t >= now - 1e-9, "events must be chronological"
+        now = max(now, t)
+        for f in newly:
+            radii[f], growing[f], pair_at[f], frozen_at[f] = t, False, np.inf, np.inf
+            cand = d[:, f] - t
+            better = growing & ((cand < frozen_at) | ((cand == frozen_at) & (f < frozen_to)))
+            frozen_at[better], frozen_to[better] = cand[better], f
+        stale = np.flatnonzero(growing & np.isin(pair_to, newly))
+        rows = d[stale] / 2.0
+        rows[:, ~growing] = np.inf
+        pair_to[stale], pair_at[stale] = rows.argmin(axis=1), rows.min(axis=1)
     gap = d - (radii[:, None] + radii[None, :])
     assert float(gap.min()) >= -1e-9, "lilypond produced overlapping balls"
     return LilypondResult(tuple(float(r) for r in radii), _lilypond_residual(d, radii), events)
@@ -698,19 +694,11 @@ def lilypond_fixed_point(
     Independent route to the same growth solution; returns (radii, residual,
     sweeps used).
     """
-    if c.window.kind != "cube":
-        raise ValidationError("lilypond needs a cube window")
-    n = c.n_points
-    if n < 2:
-        raise ValidationError("lilypond growth needs at least 2 points")
-    d = pairwise_torus_distances(c)
-    np.fill_diagonal(d, np.inf)
-    radii = np.zeros(n)
+    d = _lilypond_distances(c)
+    radii = np.zeros(c.n_points)
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        u = np.maximum(d / 2.0, d - radii[None, :])
-        np.fill_diagonal(u, np.inf)
-        target = u.min(axis=1)
+        target = lilypond_constraints(d, radii).min(axis=1)
         new = damping * radii + (1.0 - damping) * target
         shift = float(np.abs(new - radii).max())
         radii = new
@@ -732,16 +720,10 @@ def lilypond_perturbation_search(
     perturbation breaks admissibility.  Vectorized over the other points via
     the two smallest touch constraints per point.
     """
-    if c.window.kind != "cube":
-        raise ValidationError("lilypond needs a cube window")
+    d = _lilypond_distances(c)
     n = c.n_points
-    if n < 2:
-        raise ValidationError("lilypond growth needs at least 2 points")
-    radii = np.array([_radius_mark(c, i) for i in range(n)])
-    d = pairwise_torus_distances(c)
-    np.fill_diagonal(d, np.inf)
-    u = np.maximum(d / 2.0, d - radii[None, :])
-    np.fill_diagonal(u, np.inf)
+    radii = np.array([_opt_mark(c, i, RadiusMark).radius for i in range(n)])
+    u = lilypond_constraints(d, radii)
     first_idx = u.argmin(axis=1)
     first = u[np.arange(n), first_idx]
     u2 = u.copy()
@@ -771,13 +753,6 @@ def lilypond_perturbation_search(
                     best_gain = gain
                     best = (i, signed)
     return best_gain, best
-
-
-def _radius_mark(c: Configuration, i: int) -> float:
-    mark = c.points[i].opt
-    if not isinstance(mark, RadiusMark):
-        raise MarkSpaceError(f"point {i} needs a radius mark")
-    return mark.radius
 
 
 # ---------------------------------------------------------------------------
@@ -855,17 +830,11 @@ def mtp_argmax(
 def aloha_response_terms(c: Configuration, beta: float) -> np.ndarray:
     """Matrix a[i, j] = 1 / (1 + |X_i - recv_j|^beta): the coupling of point
     i's transmission into point j's receiver; diagonal is 0."""
-    from .models import aloha_receiver
-
-    n = c.n_points
-    a = np.zeros((n, n))
-    for j in range(n):
-        recv = aloha_receiver(c, j)
-        for i in range(n):
-            if i == j:
-                continue
-            dist = torus_distance(c.window, c.points[i].position, recv)
-            a[i, j] = 1.0 / (1.0 + dist**beta)
+    dist = torus_cross_distances(c.window, positions_array(c), aloha_receivers(c))
+    a = np.empty_like(dist)
+    for i, row in enumerate(dist):
+        a[i] = [1.0 / (1.0 + d**beta) for d in row.tolist()]
+    np.fill_diagonal(a, 0.0)
     return a
 
 
@@ -895,14 +864,41 @@ def aloha_optimal_marking(
         raise ValidationError("aloha needs a cube window")
     if beta <= c.window.dim:
         raise ValidationError(f"aloha needs beta > dim, got beta={beta}")
+    if tol <= 0.0:
+        raise ValidationError(f"tol must be positive, got {tol}")
+    n = c.n_points
     coupling = aloha_response_terms(c, beta)
-    marks = {}
-    for i in range(c.n_points):
-        row = np.delete(coupling[i], i)
-        g = aloha_point_objective(row)
-        p = mtp_argmax(g, 0.0, 1.0, tol=tol, method="slope")
-        marks[i] = _access_prob(p)
-    return c.with_opt_marks(marks)
+    # rows[i] is np.delete(coupling[i], i)
+    rows = coupling[~np.eye(n, dtype=bool)].reshape(n, max(n - 1, 0))
+    probs = _aloha_argmax(rows, tol)
+    return c.with_opt_marks({i: _access_prob(p) for i, p in enumerate(probs)})
+
+
+def _aloha_argmax(rows: np.ndarray, tol: float) -> list[float]:
+    """mtp_argmax(aloha_point_objective(rows[i]), 0.0, 1.0, tol), all i at once."""
+    n, h = len(rows), max(tol, 1e-8)
+
+    def objective(p: np.ndarray) -> np.ndarray:
+        out = np.full(n, NEG_INF)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = (p > 0.0) & ~(1.0 - p[:, None] * rows <= 0.0).any(axis=1)
+            logs = np.log1p(-p[:, None] * rows).sum(axis=1)
+        for i in np.flatnonzero(ok).tolist():
+            out[i] = math.log(p[i]) + float(logs[i])
+        return out
+
+    def slope(x: np.ndarray) -> np.ndarray:
+        a, b = objective(np.maximum(x - h, 0.0)), objective(np.minimum(x + h, 1.0))
+        with np.errstate(invalid="ignore"):
+            return np.where((a == NEG_INF) & (b == NEG_INF), 0.0, b - a)
+
+    at_lo, at_hi = slope(np.zeros(n)) <= 0.0, slope(np.ones(n)) >= 0.0
+    a, b, width = np.zeros(n), np.ones(n), 1.0
+    while width > tol:  # all widths halve exactly, so they stay equal
+        mid = 0.5 * (a + b)
+        up = slope(mid) > 0.0
+        a, b, width = np.where(up, mid, a), np.where(up, b, mid), 0.5 * width
+    return np.where(at_lo, 0.0, np.where(at_hi, 1.0, 0.5 * (a + b))).tolist()
 
 
 def _access_prob(p: float):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -44,8 +45,12 @@ from .core import (
     color_sampler,
     grain_radius_sampler,
     graph_neighbors,
+    pairwise_torus_distances,
+    positions_array,
     receiver_offset_sampler,
+    torus_cross_distances,
     torus_distance,
+    torus_distance_linf,
     weight_pair_sampler,
     wrap_position,
 )
@@ -145,6 +150,13 @@ def lilypond_constraint(c: Configuration, i: int, j: int) -> float:
     return max(0.5 * d, d - r_j)
 
 
+def lilypond_constraints(d: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """lilypond_constraint(c, i, j) for all i != j; inf on the diagonal."""
+    u = np.maximum(0.5 * d, d - radii[None, :])
+    np.fill_diagonal(u, np.inf)
+    return u
+
+
 def lilypond_score_at(c: Configuration, i: int) -> float:
     """Own radius minus the tightest constraint over the other points; -inf
     once the radius exceeds that constraint.  A single point scores 0."""
@@ -165,6 +177,10 @@ def aloha_receiver(c: Configuration, i: int) -> tuple[float, ...]:
     offset = _base_mark(c, i, ReceiverOffset).offset
     pos = c.points[i].position
     return wrap_position(c.window, tuple(a + b for a, b in zip(pos, offset)))
+
+
+def aloha_receivers(c: Configuration) -> np.ndarray:
+    return np.array([aloha_receiver(c, i) for i in range(c.n_points)]).reshape(-1, c.window.dim)
 
 
 def aloha_score_at(c: Configuration, i: int, beta: float) -> float:
@@ -271,9 +287,7 @@ def _caching_score_2d(
     axis = x_i[None, :] - r_i + (np.arange(m)[:, None] + 0.5) * resolution
     gx, gy = np.meshgrid(axis[:, 0], axis[:, 1], indexing="ij")
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1) % side
-    delta = np.abs(grid[:, None, :] - np.array([p.position for p in c.points])[None, :, :])
-    delta = np.minimum(delta, side - delta)
-    dist = np.sqrt((delta**2).sum(axis=2))
+    dist = torus_cross_distances(c.window, grid, positions_array(c))
     covered = dist <= radii[None, :]
     inside = covered[:, i]
     total = 0.0
@@ -321,7 +335,13 @@ class ScoreModel:
         raise NotImplementedError
 
     def checked_score_at(self, c: Configuration, i: int) -> float:
-        v = self.score_at(c, i)
+        return self._check(self.score_at(c, i))
+
+    def window_scores(self, c: Configuration) -> Iterable[float]:
+        """Checked scores in index order, lazily: a total stops at the first -inf."""
+        return (self.checked_score_at(c, i) for i in range(c.n_points))
+
+    def _check(self, v: float) -> float:
         if math.isnan(v) or v == math.inf:
             raise AssertionError(f"{self.kind} produced score {v!r}")
         if self.sign_regime == "nonneg":
@@ -467,6 +487,14 @@ class LilypondModel(ScoreModel):
     def score_at(self, c: Configuration, i: int) -> float:
         return lilypond_score_at(c, i)
 
+    def window_scores(self, c: Configuration) -> Iterable[float]:
+        radii = np.array([_opt_mark(c, i, RadiusMark).radius for i in range(c.n_points)])
+        if c.n_points < 2:
+            return [0.0] * c.n_points
+        tightest = lilypond_constraints(pairwise_torus_distances(c), radii).min(axis=1)
+        scores = np.where(radii <= tightest + GEOM_TOL, radii - tightest, NEG_INF)
+        return map(self._check, scores.tolist())
+
     def sample_mark(self, c: Configuration, i: int, g: np.random.Generator) -> OptMark:
         return RadiusMark(float(g.uniform(0.0, c.window.side / 2.0)))
 
@@ -483,35 +511,16 @@ class LilypondModel(ScoreModel):
 
     def stabilization_radius(self, c: Configuration, i: int, epsilon: float) -> float:
         # nearest-neighbor balls bound the direct interaction range
-        w = c.window
-        n = c.n_points
-        if n < 2:
+        if c.n_points < 2:
             return 0.0
+        d = pairwise_torus_distances(c)
+        np.fill_diagonal(d, np.inf)
+        nn = d.min(axis=1)
         pos_i = c.points[i].position
-        nn = [
-            min(
-                torus_distance(w, c.points[a].position, c.points[b].position)
-                for b in range(n)
-                if b != a
-            )
-            for a in range(n)
-        ]
         out = 0.0
-        for j in range(n):
-            if j == i:
-                continue
-            if torus_distance(w, pos_i, c.points[j].position) < nn[i] + nn[j] + GEOM_TOL:
-                d = max(
-                    abs_wrapped
-                    for abs_wrapped in _linf_delta(w, pos_i, c.points[j].position)
-                )
-                out = max(out, 2.0 * d)
+        for j in np.flatnonzero(d[i] < nn[i] + nn + GEOM_TOL).tolist():
+            out = max(out, 2.0 * torus_distance_linf(c.window, pos_i, c.points[j].position))
         return out
-
-
-def _linf_delta(w: Window, x, y):
-    side = w.side
-    return [min(abs(a - b), side - abs(a - b)) for a, b in zip(x, y)]
 
 
 @dataclass(frozen=True)
@@ -526,6 +535,27 @@ class AlohaModel(ScoreModel):
 
     def score_at(self, c: Configuration, i: int) -> float:
         return aloha_score_at(c, i, self.beta)
+
+    def window_scores(self, c: Configuration) -> Iterable[float]:
+        n, beta = c.n_points, self.beta
+        if n and beta <= c.window.dim:
+            raise ValidationError(f"aloha needs beta > dim, got beta={beta}, dim={c.window.dim}")
+        probs = [_opt_mark(c, i, AccessProb).prob for i in range(n)]
+        # as aloha_score_at, with distances from receiver i in row i
+        dist = torus_cross_distances(c.window, aloha_receivers(c), positions_array(c))
+        scores = []
+        for i in range(n):
+            acc = math.log(probs[i])
+            for j, d in enumerate(dist[i].tolist()):
+                if j == i:
+                    continue
+                x = probs[j] / (1.0 + d**beta)
+                if x >= 1.0:
+                    acc = NEG_INF
+                    break
+                acc += math.log1p(-x)
+            scores.append(acc)
+        return map(self._check, scores)
 
     def sample_mark(self, c: Configuration, i: int, g: np.random.Generator) -> OptMark:
         return AccessProb(1.0 - float(g.random()))
@@ -639,8 +669,7 @@ class CachingModel(ScoreModel):
                 continue
             r_j = c.points[j].base.radius
             if torus_distance(w, c.points[i].position, c.points[j].position) <= r_i + r_j + GEOM_TOL:
-                d = max(_linf_delta(w, c.points[i].position, c.points[j].position))
-                out = max(out, 2.0 * d)
+                out = max(out, 2.0 * torus_distance_linf(w, c.points[i].position, c.points[j].position))
         return out
 
 

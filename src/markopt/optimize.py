@@ -31,14 +31,13 @@ from .core import (
     ValidationError,
     Window,
     _replace_points,
-    graph_neighbors,
     rng,
     score_diff,
     sum_score_diffs,
     total_score,
     torus_distance_linf,
 )
-from .models import ScoreModel
+from .models import ScoreModel, _graph_affected
 
 # stream ids for the seeded parts of the search
 _INIT_STREAM = 91
@@ -104,7 +103,7 @@ class SearchTrace:
 
 def total_window_score(c: Configuration, model: ScoreModel) -> float:
     """Score sum over the window; -inf as soon as any point is inadmissible."""
-    return total_score(model.checked_score_at(c, i) for i in range(c.n_points))
+    return total_score(model.window_scores(c))
 
 
 def apply_swap(c: Configuration, swap: SwapProposal) -> Configuration:
@@ -401,7 +400,7 @@ def influence_domain(
     """Union of per-point influence regions of the changed points, with radii
     evaluated under both the old and the new marks (the larger wins)."""
     if c.window.kind != "cube":
-        return InfluenceDomain(window=c.window, sites=_graph_domain(c, swap.indices))
+        return InfluenceDomain(window=c.window, sites=_graph_affected(c, swap.indices))
     after = apply_swap(c, swap)
     cubes = []
     for i in swap.indices:
@@ -413,19 +412,12 @@ def influence_domain(
     return InfluenceDomain(window=c.window, cubes=tuple(cubes))
 
 
-def _graph_domain(c: Configuration, indices: tuple[int, ...]) -> tuple[int, ...]:
-    out = set(indices)
-    for i in indices:
-        out.update(graph_neighbors(c.window, i))
-    return tuple(sorted(out))
-
-
 def iterate_influence_domain(
     c: Configuration, model: ScoreModel, domain: InfluenceDomain, epsilon: float
 ) -> InfluenceDomain:
     """Grow a domain once: add the influence region of every point inside it."""
     if c.window.kind != "cube":
-        return InfluenceDomain(window=c.window, sites=_graph_domain(c, domain.sites))
+        return InfluenceDomain(window=c.window, sites=_graph_affected(c, domain.sites))
     cubes = list(domain.cubes)
     for j in range(c.n_points):
         if domain.contains_position(c.points[j].position):

@@ -27,6 +27,7 @@ from markopt.core import (
     load_configuration,
     pairwise_torus_distances,
     periodic_cube,
+    positions_array,
     rng,
     sample_poisson_configuration,
     sample_weighted_line,
@@ -34,6 +35,7 @@ from markopt.core import (
     score_diff,
     substream_id,
     sum_score_diffs,
+    torus_cross_distances,
     torus_distance,
     torus_distance_linf,
     total_score,
@@ -304,13 +306,20 @@ def test_with_opt_marks():
 
 
 def test_pairwise_torus_distances_matches_scalar():
-    w = periodic_cube(2, 10.0)
-    c = sample_poisson_configuration(w, 0.5, "hardcore", None, 3)
-    dm = pairwise_torus_distances(c)
-    for i in range(c.n_points):
-        for j in range(c.n_points):
-            expect = torus_distance(w, c.points[i].position, c.points[j].position)
-            assert dm[i, j] == pytest.approx(expect, abs=1e-12)
+    # bit-equal, not approximate: dense scores rely on this identity
+    for dim, side in ((1, 40.0), (2, 10.0), (3, 4.0)):
+        w = periodic_cube(dim, side)
+        c = sample_poisson_configuration(w, 0.5, "hardcore", None, 3)
+        other = sample_poisson_configuration(w, 0.5, "hardcore", None, 4)
+        dm = pairwise_torus_distances(c)
+        cross = torus_cross_distances(w, positions_array(c), positions_array(other))
+        assert dm.shape == (c.n_points, c.n_points)
+        assert cross.shape == (c.n_points, other.n_points)
+        for i, p in enumerate(c.points):
+            for j, q in enumerate(c.points):
+                assert dm[i, j] == torus_distance(w, p.position, q.position)
+            for j, q in enumerate(other.points):
+                assert cross[i, j] == torus_distance(w, p.position, q.position)
 
 
 # -- serialization ------------------------------------------------------------

@@ -22,7 +22,9 @@ from markopt.core import (
     WeightPair,
     WorkCapError,
     integer_line,
+    pairwise_torus_distances,
     periodic_cube,
+    receiver_offset_sampler,
     rng,
     sample_poisson_configuration,
     sample_weighted_line,
@@ -33,7 +35,11 @@ from markopt.models import HardcoreModel, MatchingModel, WidomRowlinsonModel
 from markopt.optimize import SearchParams, local_search, total_window_score
 from markopt.exact import (
     BlockingInterval,
+    LilypondEvent,
+    _lilypond_residual,
     aloha_optimal_marking,
+    aloha_point_objective,
+    aloha_response_terms,
     brute_force_optimum,
     is_blocking_interval,
     lilypond_fixed_point,
@@ -467,6 +473,67 @@ def test_lilypond_rejects_single_point():
         lilypond_solve(lily_points([5.0]))
 
 
+def cubic_lilypond_solve(c):
+    """Reference event loop: one submatrix argmin per event, O(n^3)."""
+    n = c.n_points
+    d = pairwise_torus_distances(c)
+    np.fill_diagonal(d, np.inf)
+    radii = np.zeros(n)
+    frozen = np.zeros(n, dtype=bool)
+    events = []
+    while not frozen.all():
+        growing, done = np.flatnonzero(~frozen), np.flatnonzero(frozen)
+        best_time, best = np.inf, None
+        if growing.size >= 2:
+            sub = d[np.ix_(growing, growing)] / 2.0
+            i0, j0 = divmod(int(np.argmin(sub)), growing.size)
+            best_time, best = float(sub[i0, j0]), ("pair", growing[i0], growing[j0])
+        if done.size:
+            sub = d[np.ix_(growing, done)] - radii[done][None, :]
+            i0, j0 = divmod(int(np.argmin(sub)), done.size)
+            if float(sub[i0, j0]) < best_time:
+                best_time, best = float(sub[i0, j0]), ("frozen", growing[i0], done[j0])
+        cause, i, j = best[0], int(best[1]), int(best[2])
+        pairs = [(min(i, j), max(i, j)), (max(i, j), min(i, j))] if cause == "pair" else [(i, j)]
+        for a, b in pairs:
+            radii[a], frozen[a] = best_time, True
+            events.append(LilypondEvent(len(events), a, best_time, cause, b))
+    return tuple(float(r) for r in radii), _lilypond_residual(d, radii), events
+
+
+def lilypond_grid(dim, m, spacing=1.0):
+    w = periodic_cube(dim, m * spacing)
+    pts = [
+        MarkedPoint(position=tuple(spacing * k for k in ks))
+        for ks in itertools.product(range(m), repeat=dim)
+    ]
+    return Configuration(w, "lilypond", tuple(pts))
+
+
+LILYPOND_CASES = [
+    lilypond_grid(1, 9),
+    lilypond_grid(2, 5),
+    lilypond_grid(2, 6, 0.5),
+    lilypond_grid(3, 3),
+    # at t = 2 the pair (2, 3) ties the frozen event (2 against 1), and at
+    # t = 19 point 4 reaches frozen balls 0 and 3 at once
+    lily_points([0.0, 2.0, 5.0, 9.0, 30.0]),
+    # the same, with the later-frozen ball holding the smaller index
+    lily_points([30.0, 5.0, 9.0, 0.0, 2.0]),
+] + [
+    sample_poisson_configuration(periodic_cube(dim, side), 1.0, "lilypond", None, seed)
+    for dim, side in ((1, 40.0), (2, 7.0), (3, 3.5))
+    for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("case", range(len(LILYPOND_CASES)))
+def test_lilypond_solve_matches_cubic_event_loop(case):
+    c = LILYPOND_CASES[case]
+    res = lilypond_solve(c)
+    assert repr((res.radii, res.residual, res.events)) == repr(cubic_lilypond_solve(c))
+
+
 # -- concave argmax -----------------------------------------------------------
 
 
@@ -521,6 +588,32 @@ def test_aloha_symmetric_pair_equal_probs():
     p1 = out.points[1].opt.prob
     assert p0 == pytest.approx(p1, abs=1e-6)
     assert 0.0 < p0 <= 1.0
+
+
+ALOHA_CASES = [
+    aloha_points([(10.0, 1.0)]),
+    aloha_points([(10.0, 1.0), (12.0, -1.0)]),
+    # point 1 transmits on point 0's receiver, so its objective is -inf at p = 1
+    aloha_points([(10.0, 1.0), (11.0, 1.0), (14.0, -1.0)]),
+] + [
+    sample_poisson_configuration(
+        periodic_cube(dim, side), 1.0, "aloha", receiver_offset_sampler(dim), seed
+    )
+    for dim, side, seed in ((1, 20.0, 1), (2, 5.0, 2), (2, 8.0, 3), (3, 3.0, 4))
+]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("case", range(len(ALOHA_CASES)))
+def test_aloha_optimal_marking_matches_per_point_argmax(case, tol):
+    c = ALOHA_CASES[case]
+    a = aloha_response_terms(c, 4.0)
+    expect = []
+    for i in range(c.n_points):
+        g = aloha_point_objective(np.delete(a[i], i))
+        expect.append(repr(min(1.0, max(mtp_argmax(g, 0.0, 1.0, tol=tol), 1e-15))))
+    out = aloha_optimal_marking(c, 4.0, tol=tol)
+    assert [repr(p.opt.prob) for p in out.points] == expect
 
 
 def test_aloha_first_order_conditions():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markopt.core import (
+    GEOM_TOL,
     NEG_INF,
     AccessProb,
     ColorMark,
@@ -25,10 +26,13 @@ from markopt.core import (
     integer_line,
     is_admissible,
     periodic_cube,
+    receiver_offset_sampler,
     rng,
     sample_poisson_configuration,
     sample_weighted_line,
     sample_weighted_tree,
+    torus_distance,
+    torus_distance_linf,
     tree_ball,
 )
 from markopt.models import (
@@ -297,6 +301,62 @@ def test_aloha_requires_beta_above_dim():
     m.validate_for_window(periodic_cube(1, 10.0))
     with pytest.raises(ValidationError):
         m.validate_for_window(periodic_cube(2, 10.0))
+
+
+# -- dense window scores ------------------------------------------------------
+
+
+def dense_case(kind, dim, n, seed, side=3.0):
+    """n uniform points on a small cube with random radius or access marks;
+    lilypond radii are often overgrown, so both score branches occur."""
+    g = rng(seed, 5, n)
+    pts = []
+    for _ in range(n):
+        pos = tuple(float(x) for x in g.uniform(0.0, side, size=dim))
+        if kind == "lilypond":
+            pts.append(MarkedPoint(pos, None, RadiusMark(float(g.uniform(0.0, 0.6)))))
+        else:
+            base = receiver_offset_sampler(dim)(g)
+            pts.append(MarkedPoint(pos, base, AccessProb(1.0 - float(g.random()))))
+    return Configuration(periodic_cube(dim, side), kind, tuple(pts))
+
+
+def assert_window_scores_match(m, c):
+    dense = [repr(v) for v in m.window_scores(c)]
+    assert dense == [repr(m.checked_score_at(c, i)) for i in range(c.n_points)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 25])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("m", [LilypondModel(), AlohaModel(beta=4.0)], ids=["lilypond", "aloha"])
+def test_window_scores_match_per_point_scores(m, dim, n, seed):
+    assert_window_scores_match(m, dense_case(m.kind, dim, n, seed))
+
+
+def test_window_scores_edge_cases():
+    # overgrown lilypond radius and an Aloha receiver on a p = 1 transmitter
+    lily = lilypond_config([(10.0, 0.6), (11.0, 0.5), (30.0, 0.1)])
+    aloha = aloha_config([(10.0, 1.0, 1.0), (11.0, 1.0, 1.0), (20.0, 1.0, 0.5)])
+    for m, c in ((LilypondModel(), lily), (AlohaModel(beta=4.0), aloha)):
+        assert NEG_INF in m.window_scores(c)
+        assert_window_scores_match(m, c)
+    with pytest.raises(ValidationError):
+        list(AlohaModel(beta=2.0).window_scores(dense_case("aloha", 2, 3, 0)))
+
+
+def test_lilypond_stabilization_radius_matches_scalar_loop():
+    m = LilypondModel()
+    for dim, seed in ((1, 0), (2, 1), (2, 2)):
+        c = dense_case("lilypond", dim, 12, seed)
+        w, pos = c.window, [p.position for p in c.points]
+        nn = [min(torus_distance(w, a, b) for b in pos if b is not a) for a in pos]
+        for i, a in enumerate(pos):
+            expect = 0.0
+            for j, b in enumerate(pos):
+                if j != i and torus_distance(w, a, b) < nn[i] + nn[j] + GEOM_TOL:
+                    expect = max(expect, 2.0 * torus_distance_linf(w, a, b))
+            assert repr(m.stabilization_radius(c, i, 1e-6)) == repr(expect)
 
 
 # -- caching ------------------------------------------------------------------
