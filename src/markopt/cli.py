@@ -10,15 +10,18 @@ the elapsed_ms column, whatever the thread count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+import time
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import exact
 from .core import (
     Configuration,
+    RadiusMark,
     UnsupportedModelError,
     ValidationError,
     Window,
@@ -33,18 +36,20 @@ from .estimate import (
     _SEARCH_STREAM,
     Policy,
     ReplicateRecord,
+    map_replicates,
     parse_policy,
     read_results_csv,
     record_to_row,
-    run_replicates,
+    run_replicate,
     sample_configuration,
+    scored_record,
     search_params_from_json,
     summarize_records,
     write_json,
     write_results_csv,
 )
 from .models import MODEL_KINDS, ScoreModel, build_model
-from .optimize import SearchParams, initialize_marks, local_search, total_window_score
+from .optimize import SearchParams, initialize_marks, local_search
 
 @dataclass
 class ExperimentSpec:
@@ -124,26 +129,27 @@ def _model_manifest(model: ScoreModel) -> dict:
     return out
 
 
+def _inputs(spec: ExperimentSpec, seed: int, search: SearchParams | None = None) -> dict:
+    """What a command computed from, as its summary or manifest reads it back;
+    optimize also records its search parameters."""
+    obj = {"window": window_to_json(spec.window), "model": _model_manifest(spec.model),
+           "intensity": spec.intensity, "seed": seed}
+    if search is not None:
+        obj["search"] = asdict(search)
+    return json.loads(json.dumps(obj))
+
+
 def write_manifest(out_dir: str, spec: ExperimentSpec, seed: int) -> None:
-    write_json(
-        os.path.join(out_dir, "manifest.json"),
-        {
-            "name": spec.name,
-            "window": window_to_json(spec.window),
-            "model": _model_manifest(spec.model),
-            "intensity": spec.intensity,
-            "replicates": spec.replicates,
-            "seed": seed,
-        },
-    )
+    manifest = dict(_inputs(spec, seed), name=spec.name, replicates=spec.replicates)
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _config_path(out_dir: str, replicate: int) -> str:
-    return os.path.join(out_dir, "configs", f"rep_{replicate:05d}.json")
+def _rep_path(out_dir: str, folder: str, replicate: int) -> str:
+    return os.path.join(out_dir, folder, f"rep_{replicate:05d}.json")
 
 
 def _load_replicate_config(out_dir: str, spec: ExperimentSpec, replicate: int) -> Configuration:
-    path = _config_path(out_dir, replicate)
+    path = _rep_path(out_dir, "configs", replicate)
     if not os.path.exists(path):
         raise ValidationError(f"missing {path}; run generate into this directory first")
     c = load_configuration(path)
@@ -158,7 +164,7 @@ def cmd_generate(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) ->
     os.makedirs(os.path.join(out_dir, "configs"), exist_ok=True)
     for k in range(spec.replicates):
         c = sample_configuration(spec.model, spec.window, spec.intensity, seed, k)
-        dump_configuration(c, _config_path(out_dir, k))
+        dump_configuration(c, _rep_path(out_dir, "configs", k))
     write_manifest(out_dir, spec, seed)
     print(f"generated {spec.replicates} configurations in {out_dir}/configs")
     return 0
@@ -166,8 +172,9 @@ def cmd_generate(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) ->
 
 def cmd_optimize(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) -> int:
     os.makedirs(os.path.join(out_dir, "marked"), exist_ok=True)
-    import time
-    from concurrent.futures import ThreadPoolExecutor
+    summary_path = os.path.join(out_dir, "optimize_summary.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(summary_path)  # a summary must not outlive a run that fails halfway
 
     def worker(k: int):
         start = time.perf_counter()
@@ -175,40 +182,31 @@ def cmd_optimize(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) ->
         params = replace(spec.search, seed=substream_id(seed, _SEARCH_STREAM, k))
         initial = initialize_marks(c, spec.model, params)
         final, trace = local_search(initial, spec.model, params)
-        total = total_window_score(final, spec.model)
-        dump_configuration(final, os.path.join(out_dir, "marked", f"rep_{k:05d}.json"))
-        elapsed = (time.perf_counter() - start) * 1e3
-        record = ReplicateRecord(
-            replicate=k,
-            seed=seed,
-            n_points=final.n_points,
-            total_score=total,
-            admissible=math.isfinite(total),
-            elapsed_ms=elapsed,
-        )
+        dump_configuration(final, _rep_path(out_dir, "marked", k))
+        record = scored_record(final, spec.model, k, seed, start)
         info = {
             "replicate": k,
             "certificate": trace.certificate,
             "rounds": len(trace.steps),
             "swap_evaluations": trace.swap_evaluations,
             "initial_total": trace.initial_total,
-            "final_total": total,
+            "final_total": record.total_score,
         }
         return record, info
 
-    if threads == 1:
-        results = [worker(k) for k in range(spec.replicates)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, range(spec.replicates)))
+    results = map_replicates(worker, spec.replicates, threads)
     rows = [record_to_row(spec.name, "local-search", rec) for rec, _ in results]
     write_results_csv(os.path.join(out_dir, "results.csv"), rows)
     certificates: dict[str, int] = {}
     for _, info in results:
         certificates[info["certificate"]] = certificates.get(info["certificate"], 0) + 1
     write_json(
-        os.path.join(out_dir, "optimize_summary.json"),
-        {"certificates": certificates, "traces": [info for _, info in results]},
+        summary_path,
+        {
+            "certificates": certificates,
+            "traces": [info for _, info in results],
+            "inputs": _inputs(spec, seed, spec.search),
+        },
     )
     write_manifest(out_dir, spec, seed)
     print(f"optimized {spec.replicates} replicates; certificates: {certificates}")
@@ -246,6 +244,10 @@ def exact_marking(c: Configuration, model: ScoreModel) -> tuple[Configuration, d
             "multiplicity": result.multiplicity,
         }
     if kind == "lilypond":
+        if c.n_points < 2:
+            # no growth partner: radius 0, as oracle:lilypond marks it
+            marked = c.with_opt_marks({i: RadiusMark(0.0) for i in range(c.n_points)})
+            return marked, {"method": "growth", "residual": 0.0}
         result = exact.lilypond_solve(c)
         marked = exact.lilypond_radii_configuration(c, result.radii)
         return marked, {"method": "growth", "residual": result.residual}
@@ -257,58 +259,76 @@ def exact_marking(c: Configuration, model: ScoreModel) -> tuple[Configuration, d
 
 def cmd_exact(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) -> int:
     os.makedirs(os.path.join(out_dir, "exact"), exist_ok=True)
-    import time
-    from concurrent.futures import ThreadPoolExecutor
+    summary_path = os.path.join(out_dir, "exact_summary.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(summary_path)  # a summary must not outlive a run that fails halfway
 
     def worker(k: int):
         start = time.perf_counter()
         c = _load_replicate_config(out_dir, spec, k)
         marked, info = exact_marking(c, spec.model)
-        total = total_window_score(marked, spec.model)
-        dump_configuration(marked, os.path.join(out_dir, "exact", f"rep_{k:05d}.json"))
-        elapsed = (time.perf_counter() - start) * 1e3
-        record = ReplicateRecord(
-            replicate=k,
-            seed=seed,
-            n_points=marked.n_points,
-            total_score=total,
-            admissible=math.isfinite(total),
-            elapsed_ms=elapsed,
-        )
-        return record, {"replicate": k, **info}
+        dump_configuration(marked, _rep_path(out_dir, "exact", k))
+        return scored_record(marked, spec.model, k, seed, start), {"replicate": k, **info}
 
-    if threads == 1:
-        results = [worker(k) for k in range(spec.replicates)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, range(spec.replicates)))
+    results = map_replicates(worker, spec.replicates, threads)
     rows = [record_to_row(spec.name, "exact", rec) for rec, _ in results]
     write_results_csv(os.path.join(out_dir, "results_exact.csv"), rows)
     write_json(
-        os.path.join(out_dir, "exact_summary.json"),
-        {"solutions": [info for _, info in results]},
+        summary_path,
+        {"solutions": [info for _, info in results], "inputs": _inputs(spec, seed)},
     )
     write_manifest(out_dir, spec, seed)
     print(f"solved {spec.replicates} replicates exactly")
     return 0
 
 
+# exact route -> the oracle policy that runs the same computation
+_ROUTE_ORACLES = {"brute": "brute", "chain-dp": "wr-chain", "growth": "lilypond",
+                  "separable-argmax": "aloha", "permutations": "matching"}
+
+
+def _stored_markings(out_dir: str, spec: ExperimentSpec, seed: int, policy: Policy) -> dict:
+    """Replicate -> file in out_dir holding policy's marking of it, for each replicate whose
+    summary records the same inputs and, for an oracle, the route that the oracle runs."""
+    if policy.name == "local-search":
+        name, folder, key = "optimize_summary.json", "marked", "traces"
+        inputs = _inputs(spec, seed, policy.search)
+    elif policy.name == "oracle":
+        name, folder, key, inputs = "exact_summary.json", "exact", "solutions", _inputs(spec, seed)
+    else:
+        return {}
+    try:
+        with open(os.path.join(out_dir, name)) as fh:
+            summary = json.load(fh)
+    except (OSError, ValueError):
+        return {}
+    if summary.get("inputs") != inputs:
+        return {}
+    return {
+        e["replicate"]: _rep_path(out_dir, folder, e["replicate"])
+        for e in summary[key]
+        if policy.name == "local-search" or _ROUTE_ORACLES.get(e["method"]) == policy.oracle
+    }
+
+
 def cmd_estimate(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) -> int:
     os.makedirs(out_dir, exist_ok=True)
+    policies = [replace(p, search=p.search or spec.search) if p.name == "local-search" else p
+                for p in spec.policies]
+    stored = [_stored_markings(out_dir, spec, seed, p) for p in policies]
+
+    def worker(k: int) -> list[ReplicateRecord]:
+        c = sample_configuration(spec.model, spec.window, spec.intensity, seed, k)
+        return [
+            run_replicate(spec.model, spec.window, p, spec.intensity, seed, k, c, files.get(k))
+            for p, files in zip(policies, stored)
+        ]
+
+    by_replicate = map_replicates(worker, spec.replicates if policies else 0, threads)
     rows = []
     summary = {}
-    for policy in spec.policies:
-        if policy.name == "local-search" and policy.search is None:
-            policy = replace(policy, search=spec.search)
-        records = run_replicates(
-            spec.model,
-            spec.window,
-            policy,
-            intensity=spec.intensity,
-            replicates=spec.replicates,
-            seed=seed,
-            threads=threads,
-        )
+    for i, policy in enumerate(policies):
+        records = [recs[i] for recs in by_replicate]
         rows.extend(record_to_row(spec.name, policy.label, r) for r in records)
         est = summarize_records(records, spec.window)
         summary[policy.label] = {

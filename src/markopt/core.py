@@ -436,21 +436,28 @@ def positions_array(c: Configuration) -> np.ndarray:
     return np.array([p.position for p in c.points], dtype=float)
 
 
+def _wrapped_deltas(window: Window, a: np.ndarray, b: np.ndarray):
+    """The (n, m) wrapped differences |a_k - b_k| of positions a (n, dim) and
+    b (m, dim), one coordinate k at a time, in a single reused buffer."""
+    if window.kind != "cube":
+        raise ValidationError("torus metric requires a cube window")
+    side = window.side
+    delta = np.empty((len(a), len(b)))
+    for k in range(window.dim):
+        np.subtract(a[:, k, None], b[None, :, k], out=delta)
+        np.abs(delta, out=delta)
+        np.minimum(delta, side - delta, out=delta)
+        yield delta
+
+
 def torus_cross_distances(window: Window, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, m) matrix of torus distances from positions a (n, dim) to b (m, dim).
 
     Squared wrapped differences are added in coordinate order, as in
     ``torus_distance``, so every entry equals the scalar distance bit for bit.
     """
-    if window.kind != "cube":
-        raise ValidationError("torus metric requires a cube window")
-    side = window.side
     out = np.zeros((len(a), len(b)))
-    delta = np.empty_like(out)
-    for k in range(window.dim):
-        np.subtract(a[:, k, None], b[None, :, k], out=delta)
-        np.abs(delta, out=delta)
-        np.minimum(delta, side - delta, out=delta)
+    for delta in _wrapped_deltas(window, a, b):
         delta *= delta
         out += delta
     return np.sqrt(out, out=out)
@@ -460,6 +467,16 @@ def pairwise_torus_distances(c: Configuration) -> np.ndarray:
     """(n, n) matrix of pairwise torus distances, zeros on the diagonal."""
     pos = positions_array(c)
     return torus_cross_distances(c.window, pos, pos)
+
+
+def pairwise_torus_linf(c: Configuration) -> np.ndarray:
+    """(n, n) matrix of pairwise sup-norm torus distances, equal entry by
+    entry to ``torus_distance_linf``; zeros on the diagonal."""
+    pos = positions_array(c)
+    out = np.zeros((len(pos), len(pos)))
+    for delta in _wrapped_deltas(c.window, pos, pos):
+        np.maximum(out, delta, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

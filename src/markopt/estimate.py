@@ -16,6 +16,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +33,9 @@ from .core import (
     ValidationError,
     Window,
     is_admissible,
+    load_configuration,
     pairwise_torus_distances,
+    pairwise_torus_linf,
     positions_array,
     rng,
     sample_poisson_configuration,
@@ -219,6 +222,32 @@ class IntensityEstimate:
     inadmissible_fraction: float
 
 
+def map_replicates(worker: Callable[[int], object], replicates: int, threads: int) -> list:
+    """worker(k) for each replicate k in order, on a thread pool if threads > 1."""
+    if threads == 1:
+        return [worker(k) for k in range(replicates)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, range(replicates)))
+
+
+def scored_record(
+    marked: Configuration, model: ScoreModel, replicate: int, seed: int, start: float
+) -> ReplicateRecord:
+    """Record of one replicate's marking, timed from the perf_counter reading start."""
+    total = total_window_score(marked, model)
+    elapsed = (time.perf_counter() - start) * 1e3
+    return ReplicateRecord(replicate, seed, marked.n_points, total, is_admissible(total), elapsed)
+
+
+def _stored_marking(path: str, c: Configuration) -> Configuration | None:
+    """The marking in file path if it has the window, model, points and base marks of c."""
+    try:
+        m = load_configuration(path)
+    except (OSError, ValidationError):
+        return None
+    return m if m.with_opt_marks(dict.fromkeys(range(m.n_points))) == c else None
+
+
 def run_replicate(
     model: ScoreModel,
     window: Window,
@@ -226,20 +255,18 @@ def run_replicate(
     intensity: float | None,
     seed: int,
     replicate: int,
+    c: Configuration | None = None,
+    stored: str | None = None,
 ) -> ReplicateRecord:
+    """Score one replicate under one policy.  c is its configuration if already sampled;
+    stored names a file with the policy's marking of it, used if it marks c."""
     start = time.perf_counter()
-    c = sample_configuration(model, window, intensity, seed, replicate)
-    marked = apply_policy(c, model, policy, seed, replicate)
-    total = total_window_score(marked, model)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    return ReplicateRecord(
-        replicate=replicate,
-        seed=seed,
-        n_points=marked.n_points,
-        total_score=total,
-        admissible=is_admissible(total),
-        elapsed_ms=elapsed_ms,
-    )
+    if c is None:
+        c = sample_configuration(model, window, intensity, seed, replicate)
+    marked = _stored_marking(stored, c) if stored else None
+    if marked is None:
+        marked = apply_policy(c, model, policy, seed, replicate)
+    return scored_record(marked, model, replicate, seed, start)
 
 
 def run_replicates(
@@ -260,10 +287,7 @@ def run_replicates(
     def worker(k: int) -> ReplicateRecord:
         return run_replicate(model, window, policy, intensity, seed, k)
 
-    if threads == 1:
-        return [worker(k) for k in range(replicates)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(replicates)))
+    return map_replicates(worker, replicates, threads)
 
 
 def summarize_records(records: list[ReplicateRecord], window: Window) -> IntensityEstimate:
@@ -301,16 +325,6 @@ def intensity_estimate(
 # stabilization radii
 
 
-def _pairwise_linf(c: Configuration) -> np.ndarray:
-    if c.window.kind != "cube":
-        raise ValidationError("pairwise distances need a cube window")
-    pos = positions_array(c)
-    side = c.window.side
-    delta = np.abs(pos[:, None, :] - pos[None, :, :])
-    delta = np.minimum(delta, side - delta)
-    return delta.max(axis=-1) if c.n_points else np.zeros((0, 0))
-
-
 def hardcore_stab_radii_all(c: Configuration) -> np.ndarray:
     """Per-point influence range of retention decisions: twice the farthest
     sup-norm distance over grains that can overlap the point's own grain.
@@ -322,7 +336,7 @@ def hardcore_stab_radii_all(c: Configuration) -> np.ndarray:
     if n == 1:
         return np.zeros(1)
     d = pairwise_torus_distances(c)
-    linf = _pairwise_linf(c)
+    linf = pairwise_torus_linf(c)
     capable = d < (radii[:, None] + radii[None, :]) - GEOM_TOL
     np.fill_diagonal(capable, False)
     return np.where(capable, 2.0 * linf, 0.0).max(axis=1)
@@ -374,7 +388,7 @@ def aloha_stab_radii_all(
     to_recv = torus_cross_distances(c.window, pos, aloha_receivers(c))
     with np.errstate(divide="ignore"):
         strength = np.log1p(to_recv ** (-beta))
-    linf = _pairwise_linf(c)
+    linf = pairwise_torus_linf(c)
     internal = np.zeros(n)
     external = np.zeros(n)
     for i in range(n):

@@ -292,13 +292,16 @@ def wr_segment_brute_force(
     weights: list[tuple[float, float]],
     left_boundary: str | None = None,
     right_boundary: str | None = None,
-    chunk: int = 1 << 18,
+    chunk: int = 1 << 20,
 ) -> DpResult:
     """Independent enumeration of all 3**m sign assignments of a segment.
 
-    Vectorized base-3 odometer; row order equals the lexicographic order of
-    the dynamic program, and row totals accumulate site scores left to
-    right, so values and tie counts are directly comparable.
+    Rows run in base-3 odometer order, site 0 the leading digit, which is the
+    lexicographic order of the dynamic program.  Each site extends every row
+    by an outer sum with its three sign scores, so row totals accumulate
+    site scores left to right and values and tie counts are directly
+    comparable.  Rows that share a leading-digit prefix form one chunk of at
+    most chunk rows, and of at least three.
     """
     m = len(weights)
     if m == 0:
@@ -306,48 +309,53 @@ def wr_segment_brute_force(
     # row cap, not row * column work: the sweep is vectorized over rows
     if 3**m > BRUTE_FORCE_CAP:
         raise WorkCapError(f"segment of {m} sites exceeds the enumeration cap")
-    wp = np.array([w[0] for w in weights])
-    wm = np.array([w[1] for w in weights])
-    powers = 3 ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    total_rows = 3**m
+    if not {left_boundary, right_boundary} <= {None, *SIGNS}:
+        raise ValidationError(
+            f"boundaries must be in {SIGNS} or None: {left_boundary!r}, {right_boundary!r}"
+        )
+    scores = np.array([(0.0, wp, wm) for wp, wm in weights])
+    # follows[a, b]: sign digit b may sit next to sign digit a ("+" and "-" clash)
+    follows = np.array([[True, True, True], [True, True, False], [True, False, True]])
+
+    def extend(totals, valid, last, sites):
+        """Continue the rows by the sites, each an outer sum with its three
+        sign scores.  last is the final digit (or left boundary) of a single
+        starting row, or None when rows come in threes by final digit."""
+        for k in sites:
+            totals = (totals[:, None] + scores[k]).ravel()
+            if last is None:
+                valid = (valid.reshape(-1, 3)[:, :, None] & follows).ravel()
+            else:
+                valid, last = valid & follows[last], None
+        return totals, valid
+
+    left, right = (SIGNS.index(b or "0") for b in (left_boundary, right_boundary))
+    suffix = 1
+    while suffix < m and 3 ** (suffix + 1) <= chunk:
+        suffix += 1
+    prefix_totals, prefix_valid = extend(
+        np.zeros(1), np.ones(1, dtype=bool), left, range(m - suffix)
+    )
     best = NEG_INF
     best_row = -1
     multiplicity = 0
-    for start in range(0, total_rows, chunk):
-        rows = np.arange(start, min(start + chunk, total_rows), dtype=np.int64)
-        digits = (rows[:, None] // powers[None, :]) % 3
-        valid = np.ones(len(rows), dtype=bool)
-        if left_boundary == "+":
-            valid &= digits[:, 0] != 2
-        elif left_boundary == "-":
-            valid &= digits[:, 0] != 1
-        if right_boundary == "+":
-            valid &= digits[:, -1] != 2
-        elif right_boundary == "-":
-            valid &= digits[:, -1] != 1
-        if m > 1:
-            a, b = digits[:, :-1], digits[:, 1:]
-            clash = ((a == 1) & (b == 2)) | ((a == 2) & (b == 1))
-            valid &= ~clash.any(axis=1)
-        totals = np.zeros(len(rows))
-        for k in range(m):
-            totals = totals + np.where(
-                digits[:, k] == 1, wp[k], np.where(digits[:, k] == 2, wm[k], 0.0)
-            )
-        totals[~valid] = NEG_INF
+    for p in range(len(prefix_totals)):
+        last = p % 3 if m > suffix else left
+        rows = slice(p, p + 1)
+        totals, valid = extend(prefix_totals[rows], prefix_valid[rows], last, range(m - suffix, m))
+        totals[~(valid.reshape(-1, 3) & follows[right]).ravel()] = NEG_INF
         chunk_max = float(totals.max())
         if chunk_max == NEG_INF:
             continue
         if chunk_max > best:
             best = chunk_max
-            best_row = int(rows[int(np.argmax(totals))])
+            best_row = p * 3**suffix + int(np.argmax(totals))
             multiplicity = int(np.count_nonzero(totals == best))
         elif chunk_max == best:
             multiplicity += int(np.count_nonzero(totals == best))
     if best_row < 0:
         return DpResult((), NEG_INF, 0)
-    digits = (best_row // powers) % 3
-    marks = tuple(SIGNS[int(d)] for d in digits)
+    marks = tuple(SIGNS[best_row // 3**k % 3] for k in range(m - 1, -1, -1))
     return DpResult(marks, best, multiplicity)
 
 

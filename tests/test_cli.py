@@ -521,3 +521,193 @@ class TestExactDispatch:
         }
         code = main(["optimize", "--spec", write_spec(tmp_path, other, "o.json"), "--out", str(out)])
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# estimate reuses the markings of optimize and exact
+
+
+def lilypond_spec(replicates=3, seed=5, L=8.0, intensity=0.5):
+    return {
+        "name": "lily-smoke",
+        "window": {"kind": "cube", "d": 2, "L": L},
+        "model": {"kind": "lilypond"},
+        "intensity": intensity,
+        "policies": ["oracle:lilypond"],
+        "replicates": replicates,
+        "seed": seed,
+    }
+
+
+def aloha_spec(replicates=3, seed=5, beta=4.0):
+    return {
+        "name": "aloha-smoke",
+        "window": {"kind": "cube", "d": 2, "L": 6.0},
+        "model": {"kind": "aloha", "beta": beta},
+        "intensity": 0.5,
+        "policies": ["random-iid", "oracle:aloha"],
+        "replicates": replicates,
+        "seed": seed,
+    }
+
+
+def brute_spec(replicates=4, seed=3):
+    obj = hardcore_spec(replicates=replicates, seed=seed)
+    obj["policies"] = ["neutral", "local-search", "oracle:brute", "all-retain"]
+    return obj
+
+
+REUSE_SPECS = {
+    "hardcore": brute_spec,
+    "wr-brute-route": lambda: wr_line_spec(n=8, replicates=3),
+    "wr-chain-route": lambda: wr_line_spec(n=40, replicates=2),
+    "lilypond": lilypond_spec,
+    "aloha": aloha_spec,
+}
+
+
+def run_commands(tmp_path, spec_obj, out, commands, threads="1", label="spec"):
+    path = write_spec(tmp_path, spec_obj, f"{label}.json")
+    for command in commands:
+        assert main([command, "--spec", path, "--out", str(out), "--threads", threads]) == 0
+    return out
+
+
+def estimate_outputs(out):
+    """results.csv without its last column, elapsed_ms, and estimate_summary.json."""
+    lines = (out / "results.csv").read_text().splitlines()
+    assert lines[0].endswith(",elapsed_ms")
+    return [line.rsplit(",", 1)[0] for line in lines], (out / "estimate_summary.json").read_bytes()
+
+
+def fresh_estimate(tmp_path, spec_obj, threads="1"):
+    out = run_commands(tmp_path, spec_obj, tmp_path / "fresh", ["estimate"], threads, "fresh")
+    return estimate_outputs(out)
+
+
+class TestEstimateReuse:
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    @pytest.mark.parametrize("name", sorted(REUSE_SPECS))
+    def test_matches_estimate_alone(self, tmp_path, name, threads):
+        spec_obj = REUSE_SPECS[name]()
+        commands = ["generate", "optimize", "exact", "estimate"]
+        if name in ("lilypond", "aloha"):
+            commands.remove("optimize")
+        out = run_commands(tmp_path, spec_obj, tmp_path / "run", commands, threads)
+        assert estimate_outputs(out) == fresh_estimate(tmp_path, spec_obj)
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("hardcore", lambda o: o["search"].update(k_max=2)),
+            ("hardcore", lambda o: o["model"].update(radius_lo=0.2, radius_hi=0.5)),
+            ("hardcore", lambda o: o.update(intensity=1.5)),
+            ("hardcore", lambda o: o.update(seed=4)),
+            ("wr-chain-route", lambda o: o["search"].update(k_max=1)),
+            ("wr-chain-route", lambda o: o.update(seed=8)),
+            ("aloha", lambda o: o["model"].update(beta=3.0)),
+        ],
+    )
+    def test_spec_edited_after_optimize_and_exact(self, tmp_path, name, edit):
+        spec_obj = REUSE_SPECS[name]()
+        commands = ["generate", "exact"] if name == "aloha" else ["generate", "optimize", "exact"]
+        out = run_commands(tmp_path, spec_obj, tmp_path / "run", commands)
+        edit(spec_obj)
+        run_commands(tmp_path, spec_obj, out, ["estimate"], label="edited")
+        assert estimate_outputs(out) == fresh_estimate(tmp_path, spec_obj)
+
+    @pytest.mark.parametrize(
+        "spec_search, policy_search",
+        [
+            # differs from the search optimize ran: recomputed
+            ({"k_max": 1, "mode": "exhaustive"}, {"k_max": 2, "mode": "exhaustive"}),
+            # equals the search optimize ran, though the spec's search changed: reused
+            ({"k_max": 1, "mode": "randomized"}, {"k_max": 1, "mode": "exhaustive"}),
+        ],
+    )
+    def test_policy_level_search_override(self, tmp_path, spec_search, policy_search):
+        spec_obj = brute_spec()
+        out = run_commands(tmp_path, spec_obj, tmp_path / "run", ["generate", "optimize"])
+        spec_obj["search"] = spec_search
+        spec_obj["policies"] = ["neutral", {"name": "local-search", "search": policy_search}]
+        run_commands(tmp_path, spec_obj, out, ["estimate"], label="override")
+        assert estimate_outputs(out) == fresh_estimate(tmp_path, spec_obj)
+
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_deleted_and_swapped_files(self, tmp_path, threads):
+        spec_obj = brute_spec(replicates=5)
+        out = run_commands(tmp_path, spec_obj, tmp_path / "run", ["generate", "optimize", "exact"])
+        for folder in ("marked", "exact"):
+            os.remove(out / folder / "rep_00001.json")
+            other = (out / folder / "rep_00003.json").read_bytes()
+            (out / folder / "rep_00000.json").write_bytes(other)
+        run_commands(tmp_path, spec_obj, out, ["estimate"], threads)
+        assert estimate_outputs(out) == fresh_estimate(tmp_path, spec_obj, threads)
+
+    def test_reused_markings_are_not_recomputed(self, tmp_path, monkeypatch):
+        import markopt.estimate
+        import markopt.exact
+
+        calls = {"search": 0, "brute": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        search, brute = markopt.estimate.local_search, markopt.exact.brute_force_optimum
+        monkeypatch.setattr(markopt.estimate, "local_search", counted("search", search))
+        monkeypatch.setattr(markopt.exact, "brute_force_optimum", counted("brute", brute))
+        spec_obj = brute_spec(replicates=5)
+        out = run_commands(tmp_path, spec_obj, tmp_path / "run", ["generate", "optimize", "exact"])
+        calls.update(search=0, brute=0)
+        run_commands(tmp_path, spec_obj, out, ["estimate"])
+        assert calls == {"search": 0, "brute": 0}
+        reused = estimate_outputs(out)
+        os.remove(out / "marked" / "rep_00002.json")
+        os.remove(out / "exact" / "rep_00004.json")
+        run_commands(tmp_path, spec_obj, out, ["estimate"])
+        assert calls == {"search": 1, "brute": 1}
+        assert estimate_outputs(out) == reused
+        calls.update(search=0, brute=0)
+        fresh_estimate(tmp_path, spec_obj)
+        assert calls == {"search": 5, "brute": 5}
+
+    def test_summaries_record_inputs(self, tmp_path):
+        spec_obj = brute_spec()
+        out = run_commands(tmp_path, spec_obj, tmp_path / "run", ["generate", "optimize", "exact"])
+        optimize_inputs = json.loads((out / "optimize_summary.json").read_text())["inputs"]
+        exact_inputs = json.loads((out / "exact_summary.json").read_text())["inputs"]
+        assert optimize_inputs.pop("search") == {
+            "k_max": 1, "trial_budget": 1000, "delta_min": 0.0, "epsilon": 1e-6,
+            "max_rounds": 10000, "seed": 0, "mode": "exhaustive", "indices": None,
+        }
+        assert optimize_inputs == exact_inputs == {
+            "window": spec_obj["window"],
+            "model": {"kind": "hardcore", "radius_lo": 0.1, "radius_hi": 0.4},
+            "intensity": 1.0,
+            "seed": 3,
+        }
+
+
+def test_exact_lilypond_with_fewer_than_two_points(tmp_path):
+    """Replicates with 0 or 1 point get radius 0 from the growth route, as
+    from oracle:lilypond, and estimate reuses them."""
+    spec_obj = lilypond_spec(replicates=8, seed=2, L=2.0, intensity=0.4)
+    out = run_commands(tmp_path, spec_obj, tmp_path / "run", ["generate", "exact"])
+    configs = [load_configuration(str(out / "configs" / f"rep_{k:05d}.json")) for k in range(8)]
+    counts = [c.n_points for c in configs]
+    assert 0 in counts and 1 in counts and max(counts) >= 2
+    solutions = json.loads((out / "exact_summary.json").read_text())["solutions"]
+    assert {s["method"] for s in solutions} == {"growth"}
+    rows = read_results_csv(str(out / "results_exact.csv"))
+    for k, n in enumerate(counts):
+        if n < 2:
+            marked = load_configuration(str(out / "exact" / f"rep_{k:05d}.json"))
+            assert [p.opt.radius for p in marked.points] == [0.0] * n
+            assert solutions[k]["residual"] == 0.0
+            assert rows[k]["total_score"] == 0.0 and rows[k]["n_points"] == n
+    run_commands(tmp_path, spec_obj, out, ["estimate"])
+    assert estimate_outputs(out) == fresh_estimate(tmp_path, spec_obj)

@@ -26,6 +26,7 @@ from markopt.core import (
     is_admissible,
     load_configuration,
     pairwise_torus_distances,
+    pairwise_torus_linf,
     periodic_cube,
     positions_array,
     rng,
@@ -320,6 +321,22 @@ def test_pairwise_torus_distances_matches_scalar():
                 assert dm[i, j] == torus_distance(w, p.position, q.position)
             for j, q in enumerate(other.points):
                 assert cross[i, j] == torus_distance(w, p.position, q.position)
+
+
+def test_pairwise_torus_linf_matches_scalar():
+    # bit-equal to the scalar sup-norm metric, including pairs that wrap
+    for dim, side in ((1, 40.0), (2, 10.0), (3, 4.0)):
+        w = periodic_cube(dim, side)
+        c = sample_poisson_configuration(w, 0.5, "hardcore", None, 5)
+        linf = pairwise_torus_linf(c)
+        assert linf.shape == (c.n_points, c.n_points)
+        for i, p in enumerate(c.points):
+            for j, q in enumerate(c.points):
+                assert linf[i, j] == torus_distance_linf(w, p.position, q.position)
+    empty = sample_poisson_configuration(periodic_cube(2, 0.01), 0.5, "hardcore", None, 0)
+    assert pairwise_torus_linf(empty).shape == (0, 0)
+    with pytest.raises(ValidationError):
+        pairwise_torus_linf(sample_weighted_line(3, 0))
 
 
 # -- serialization ------------------------------------------------------------

@@ -34,7 +34,9 @@ from markopt.core import (
 from markopt.models import HardcoreModel, MatchingModel, WidomRowlinsonModel
 from markopt.optimize import SearchParams, local_search, total_window_score
 from markopt.exact import (
+    SIGNS,
     BlockingInterval,
+    DpResult,
     LilypondEvent,
     _lilypond_residual,
     aloha_optimal_marking,
@@ -230,6 +232,111 @@ def test_dp_matches_vectorized_brute():
         assert a.value == b.value
         assert a.multiplicity == b.multiplicity
         assert a.marks == b.marks
+
+
+def _row_digit_segment_brute_force(weights, left_boundary=None, right_boundary=None, chunk=1 << 18):
+    """Reference copy of the row-digit enumeration that wr_segment_brute_force
+    replaced: base-3 digits of every row for every site, chunked by row range."""
+    m = len(weights)
+    if m == 0:
+        return wr_chain_dp(weights, left_boundary, right_boundary)
+    wp = np.array([w[0] for w in weights])
+    wm = np.array([w[1] for w in weights])
+    powers = 3 ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    total_rows = 3**m
+    best, best_row, multiplicity = NEG_INF, -1, 0
+    for start in range(0, total_rows, chunk):
+        rows = np.arange(start, min(start + chunk, total_rows), dtype=np.int64)
+        digits = (rows[:, None] // powers[None, :]) % 3
+        valid = np.ones(len(rows), dtype=bool)
+        if left_boundary == "+":
+            valid &= digits[:, 0] != 2
+        elif left_boundary == "-":
+            valid &= digits[:, 0] != 1
+        if right_boundary == "+":
+            valid &= digits[:, -1] != 2
+        elif right_boundary == "-":
+            valid &= digits[:, -1] != 1
+        if m > 1:
+            a, b = digits[:, :-1], digits[:, 1:]
+            clash = ((a == 1) & (b == 2)) | ((a == 2) & (b == 1))
+            valid &= ~clash.any(axis=1)
+        totals = np.zeros(len(rows))
+        for k in range(m):
+            totals = totals + np.where(
+                digits[:, k] == 1, wp[k], np.where(digits[:, k] == 2, wm[k], 0.0)
+            )
+        totals[~valid] = NEG_INF
+        chunk_max = float(totals.max())
+        if chunk_max == NEG_INF:
+            continue
+        if chunk_max > best:
+            best = chunk_max
+            best_row = int(rows[int(np.argmax(totals))])
+            multiplicity = int(np.count_nonzero(totals == best))
+        elif chunk_max == best:
+            multiplicity += int(np.count_nonzero(totals == best))
+    if best_row < 0:
+        return DpResult((), NEG_INF, 0)
+    digits = (best_row // powers) % 3
+    return DpResult(tuple(SIGNS[int(d)] for d in digits), best, multiplicity)
+
+
+BOUNDARIES = [None, "0", "+", "-"]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 6])
+@pytest.mark.parametrize("weights_kind", ["continuous", "ties", "zeros", "negative"])
+def test_segment_brute_force_repr_equals_row_digit_enumeration(m, weights_kind):
+    """Outer-sum enumeration against the row-digit reference, bit for bit in
+    value, marks and tie count, for every boundary pair."""
+    g = rng(m, 36)
+    if weights_kind == "continuous":
+        weights = [(float(g.uniform(0, 1)), float(g.uniform(0, 1))) for _ in range(m)]
+    elif weights_kind == "ties":
+        # 0.1 + 0.2 != 0.3: ties and near-ties that only a left-to-right sum keeps
+        weights = [((0.1, 0.2, 0.3)[k % 3], (0.3, 0.1, 0.2)[k % 3]) for k in range(m)]
+    elif weights_kind == "zeros":
+        weights = [(0.0, 0.0)] * m
+    else:
+        weights = [(-float(g.uniform(0, 1)), float(g.uniform(-1, 0))) for _ in range(m)]
+    for lb, rb in itertools.product(BOUNDARIES, BOUNDARIES):
+        want = _row_digit_segment_brute_force(weights, lb, rb)
+        assert repr(wr_segment_brute_force(weights, lb, rb)) == repr(want), (lb, rb)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 8, 9, 10, 27, 1 << 18])
+def test_segment_brute_force_chunking_repr_invariant(chunk):
+    """Chunks by leading-digit prefix give the reference result whatever the
+    chunk size, with the best rows and ties spread over several chunks."""
+    g = rng(7, 37)
+    cases = [
+        [(float(g.uniform(0, 1)), float(g.uniform(0, 1))) for _ in range(5)],
+        [(0.5, 0.5)] * 5,
+        [(0.1, 0.2), (0.2, 0.1), (0.3, 0.3), (0.1, 0.2), (0.2, 0.1)],
+    ]
+    for weights in cases:
+        for lb, rb in itertools.product(BOUNDARIES, BOUNDARIES):
+            want = _row_digit_segment_brute_force(weights, lb, rb, chunk=7)
+            got = wr_segment_brute_force(weights, lb, rb, chunk=chunk)
+            assert repr(got) == repr(want), (weights, lb, rb, chunk)
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_segment_brute_force_rejects_unknown_boundary(m):
+    with pytest.raises(ValidationError, match="boundar"):
+        wr_segment_brute_force([(0.5, 0.5)] * m, "x", None)
+    with pytest.raises(ValidationError, match="boundar"):
+        wr_segment_brute_force([(0.5, 0.5)] * m, None, "++")
+
+
+def test_segment_brute_force_repr_at_fourteen_sites():
+    """The largest segment criterion 2 enumerates, several chunks deep."""
+    g = rng(14, 38)
+    weights = [(float(g.uniform(0, 1)), float(g.uniform(0, 1))) for _ in range(14)]
+    for lb, rb in (("+", "+"), (None, "-")):
+        want = _row_digit_segment_brute_force(weights, lb, rb)
+        assert repr(wr_segment_brute_force(weights, lb, rb)) == repr(want)
 
 
 def test_dp_multiplicity_one_for_continuous_weights():
