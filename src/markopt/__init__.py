@@ -1,7 +1,6 @@
 """Simulation and optimization laboratory for stationary markings of point
-processes: score models on periodic windows, local swap search with
-influence-domain bookkeeping, certified exact solvers, and reproducible
-Monte Carlo estimation."""
+processes: score models on periodic windows, best-swap local search,
+certified exact solvers, and reproducible Monte Carlo estimation."""
 
 from .core import (
     GEOM_TOL,
@@ -49,10 +48,8 @@ from .optimize import (
     SwapProposal,
     apply_swap,
     find_valid_swap,
-    influence_domain,
     initialize_marks,
     local_search,
-    matern_compatible_subset,
     score_difference,
     total_window_score,
 )

@@ -411,9 +411,6 @@ class Configuration:
             pts[i] = replace(pts[i], opt=mark)
         return Configuration(self.window, self.model_id, tuple(pts))
 
-    def all_marks_set(self) -> bool:
-        return all(p.opt is not None for p in self.points)
-
 
 def _replace_points(c: Configuration, points) -> Configuration:
     """Copy of a configuration with a different point sequence, skipping

@@ -4,8 +4,8 @@ Replicates are driven by counter-based substreams, so estimates are
 reproducible for a given seed regardless of thread count or evaluation
 order.  Alongside the intensity estimators this module carries the
 spatial-average consistency checks (mass transport style identities that
-equate a per-point score sum with a volume integral) and the stabilization
-radius machinery used by the influence-domain logic.
+equate a per-point score sum with a volume integral) and samplers of the
+hardcore and Aloha stabilization radii.
 """
 
 from __future__ import annotations
@@ -342,12 +342,6 @@ def hardcore_stab_radii_all(c: Configuration) -> np.ndarray:
     return np.where(capable, 2.0 * linf, 0.0).max(axis=1)
 
 
-def hardcore_stab_radius(c: Configuration, i: int) -> float:
-    if not 0 <= i < c.n_points:
-        raise ValidationError(f"point index {i} out of range")
-    return float(hardcore_stab_radii_all(c)[i])
-
-
 def _tail_radius(candidates: np.ndarray, terms: np.ndarray, epsilon: float) -> float:
     """Smallest cube radius whose excluded-term tail is at most epsilon.
 
@@ -397,15 +391,6 @@ def aloha_stab_radii_all(
         internal[i] = _tail_radius(cands, strength[others, i], epsilon)
         external[i] = _tail_radius(cands, strength[i, others], epsilon)
     return internal, external
-
-
-def aloha_stab_radii(
-    c: Configuration, i: int, epsilon: float, beta: float
-) -> tuple[float, float]:
-    if not 0 <= i < c.n_points:
-        raise ValidationError(f"point index {i} out of range")
-    internal, external = aloha_stab_radii_all(c, epsilon, beta)
-    return float(internal[i]), float(external[i])
 
 
 def aloha_truncated_score_at(c: Configuration, i: int, beta: float, radius: float) -> float:

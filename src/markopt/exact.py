@@ -740,9 +740,9 @@ def lilypond_perturbation_search(
     before = np.where(radii <= first + GEOM_TOL, radii - first, NEG_INF)
     best_gain = NEG_INF
     best: tuple[int, float] | None = None
-    others = np.arange(n)
     for i in range(n):
-        mask = others != i
+        # every other point's tightest constraint apart from the one to i
+        excl = np.where(first_idx == i, second, first)
         for delta in deltas:
             for signed in (delta, -delta):
                 r_new = radii[i] + signed
@@ -751,11 +751,13 @@ def lilypond_perturbation_search(
                 own_new = r_new - first[i] if r_new <= first[i] + GEOM_TOL else NEG_INF
                 diffs = [score_diff(own_new, float(before[i]))]
                 u_new = np.maximum(d[:, i] / 2.0, d[:, i] - r_new)
-                excl = np.where(first_idx == i, second, first)
                 min_new = np.minimum(excl, u_new)
                 after = np.where(radii <= min_new + GEOM_TOL, radii - min_new, NEG_INF)
-                for j in others[mask]:
-                    diffs.append(score_diff(float(after[j]), float(before[j])))
+                # a point whose score does not move adds an exact 0.0 (also
+                # -inf to -inf), which leaves the sum unchanged
+                moved = np.flatnonzero(after != before)
+                moved = moved[moved != i]
+                diffs += map(score_diff, after[moved].tolist(), before[moved].tolist())
                 gain = sum_score_diffs(diffs)
                 if gain > best_gain:
                     best_gain = gain
@@ -767,68 +769,38 @@ def lilypond_perturbation_search(
 # one-dimensional argmax
 
 
-def mtp_argmax(
-    f,
-    lo: float,
-    hi: float,
-    tol: float = 1e-9,
-    method: str = "slope",
-) -> float:
-    """Smallest maximizer of f on [lo, hi] within tol.
+def mtp_argmax(f, lo: float, hi: float, tol: float = 1e-9) -> float:
+    """Smallest maximizer of a unimodal (e.g. concave) f on [lo, hi] within tol.
 
-    "slope" assumes f unimodal (e.g. concave) and bisects on the sign of a
-    central-difference slope with step max(tol, 1e-8 * scale); flat slopes
-    steer left so the smallest maximizer wins.  "grid" handles general f by
-    repeated 201-point grids with refinement around the first maximum.  f
-    may return -inf outside its effective domain but never NaN.
+    Bisects on the sign of a central-difference slope with step
+    max(tol, 1e-8 * scale); flat slopes steer left so the smallest maximizer
+    wins.  f may return -inf outside its effective domain but never NaN.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValidationError(f"need a finite interval, got [{lo}, {hi}]")
     if tol <= 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
-    if method == "slope":
-        h = max(tol, 1e-8 * max(1.0, abs(lo), abs(hi)))
+    h = max(tol, 1e-8 * max(1.0, abs(lo), abs(hi)))
 
-        def slope(x: float) -> float:
-            # stencil clamped to the interval: one-sided at the endpoints
-            a, b = f(max(x - h, lo)), f(min(x + h, hi))
-            if a == NEG_INF and b == NEG_INF:
-                return 0.0
-            return score_diff(b, a)
+    def slope(x: float) -> float:
+        # stencil clamped to the interval: one-sided at the endpoints
+        a, b = f(max(x - h, lo)), f(min(x + h, hi))
+        if a == NEG_INF and b == NEG_INF:
+            return 0.0
+        return score_diff(b, a)
 
-        if slope(lo) <= 0.0:
-            return lo
-        if slope(hi) >= 0.0:
-            return hi
-        a, b = lo, hi
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if slope(mid) > 0.0:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-    if method == "grid":
-        points = 201
-        a, b = lo, hi
-        best_x = None
-        while True:
-            xs = np.linspace(a, b, points)
-            vals = np.array([f(float(x)) for x in xs])
-            if np.isnan(vals).any():
-                raise ValidationError("f returned NaN")
-            if (vals == NEG_INF).all():
-                if best_x is None:
-                    raise ValidationError("f is -inf on the whole interval")
-                return best_x
-            k = int(np.argmax(vals))
-            best_x = float(xs[k])
-            spacing = (b - a) / (points - 1)
-            if spacing <= tol:
-                return best_x
-            a = float(xs[max(k - 1, 0)])
-            b = float(xs[min(k + 1, points - 1)])
-    raise ValidationError(f"unknown method {method!r}")
+    if slope(lo) <= 0.0:
+        return lo
+    if slope(hi) >= 0.0:
+        return hi
+    a, b = lo, hi
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if slope(mid) > 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ from .core import (
     receiver_offset_sampler,
     torus_cross_distances,
     torus_distance,
-    torus_distance_linf,
     weight_pair_sampler,
     wrap_position,
 )
@@ -381,11 +380,6 @@ class ScoreModel:
     def validate_for_window(self, window: Window) -> None:
         pass
 
-    def stabilization_radius(self, c: Configuration, i: int, epsilon: float) -> float:
-        from .core import UnsupportedModelError
-
-        raise UnsupportedModelError(f"{self.kind} has no stabilization radius")
-
 
 def _graph_affected(c: Configuration, changed: tuple[int, ...]) -> tuple[int, ...]:
     out = set(changed)
@@ -436,11 +430,6 @@ class HardcoreModel(ScoreModel):
         if window.kind != "cube" or window.dim not in (1, 2):
             raise ValidationError("hardcore needs a cube window of dim 1 or 2")
 
-    def stabilization_radius(self, c: Configuration, i: int, epsilon: float) -> float:
-        from .estimate import hardcore_stab_radius
-
-        return hardcore_stab_radius(c, i)
-
 
 @dataclass(frozen=True)
 class WidomRowlinsonModel(ScoreModel):
@@ -473,10 +462,6 @@ class WidomRowlinsonModel(ScoreModel):
         if window.kind != self.graph:
             raise ValidationError(f"{self.kind} needs a {self.graph} window")
 
-    def stabilization_radius(self, c: Configuration, i: int, epsilon: float) -> float:
-        # signs interact through single edges only
-        return 1.0
-
 
 @dataclass(frozen=True)
 class LilypondModel(ScoreModel):
@@ -508,19 +493,6 @@ class LilypondModel(ScoreModel):
     def validate_for_window(self, window: Window) -> None:
         if window.kind != "cube":
             raise ValidationError("lilypond needs a cube window")
-
-    def stabilization_radius(self, c: Configuration, i: int, epsilon: float) -> float:
-        # nearest-neighbor balls bound the direct interaction range
-        if c.n_points < 2:
-            return 0.0
-        d = pairwise_torus_distances(c)
-        np.fill_diagonal(d, np.inf)
-        nn = d.min(axis=1)
-        pos_i = c.points[i].position
-        out = 0.0
-        for j in np.flatnonzero(d[i] < nn[i] + nn + GEOM_TOL).tolist():
-            out = max(out, 2.0 * torus_distance_linf(c.window, pos_i, c.points[j].position))
-        return out
 
 
 @dataclass(frozen=True)
@@ -581,12 +553,6 @@ class AlohaModel(ScoreModel):
             raise ValidationError(
                 f"aloha needs beta > dim for summable interference, got beta={self.beta}, dim={window.dim}"
             )
-
-    def stabilization_radius(self, c: Configuration, i: int, epsilon: float) -> float:
-        from .estimate import aloha_stab_radii
-
-        internal, external = aloha_stab_radii(c, i, epsilon, self.beta)
-        return max(internal, external)
 
 
 @dataclass(frozen=True)
@@ -660,18 +626,6 @@ class CachingModel(ScoreModel):
         if window.kind != "cube" or window.dim not in (1, 2):
             raise ValidationError("caching needs a cube window of dim 1 or 2")
 
-    def stabilization_radius(self, c: Configuration, i: int, epsilon: float) -> float:
-        w = c.window
-        r_i = c.points[i].base.radius
-        out = 0.0
-        for j in range(c.n_points):
-            if j == i:
-                continue
-            r_j = c.points[j].base.radius
-            if torus_distance(w, c.points[i].position, c.points[j].position) <= r_i + r_j + GEOM_TOL:
-                out = max(out, 2.0 * torus_distance_linf(w, c.points[i].position, c.points[j].position))
-        return out
-
 
 @dataclass(frozen=True)
 class MatchingModel(ScoreModel):
@@ -714,11 +668,6 @@ class MatchingModel(ScoreModel):
     def validate_for_window(self, window: Window) -> None:
         if window.kind != "cube":
             raise ValidationError("matching needs a cube window")
-
-    def stabilization_radius(self, c: Configuration, i: int, epsilon: float) -> float:
-        from .core import UnsupportedModelError
-
-        raise UnsupportedModelError("matching does not stabilize externally")
 
 
 MODEL_KINDS = ("hardcore", "wr_line", "wr_tree", "lilypond", "aloha", "caching", "matching")

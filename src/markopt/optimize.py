@@ -11,10 +11,7 @@ the result, and randomized proposal sampling otherwise.
 ``local_search`` applies the best single swap per round.  It keeps every
 point's score across rounds, and in exhaustive mode each swap set's best
 gain; after an accepted swap it rescores only the points that swap affects
-and re-evaluates only the swap sets whose affected sets meet them.  The
-influence domains and compatible-subset selection at the end of this module
-are the paper's aggregated improvement step; ``local_search`` does not use
-them yet.
+and re-evaluates only the swap sets whose affected sets meet them.
 """
 
 from __future__ import annotations
@@ -29,15 +26,13 @@ from .core import (
     MarkedPoint,
     OptMark,
     ValidationError,
-    Window,
     _replace_points,
     rng,
     score_diff,
     sum_score_diffs,
     total_score,
-    torus_distance_linf,
 )
-from .models import ScoreModel, _graph_affected
+from .models import ScoreModel
 
 # stream ids for the seeded parts of the search
 _INIT_STREAM = 91
@@ -65,7 +60,6 @@ class SearchParams:
     k_max: int = 1  # largest swap size considered
     trial_budget: int = 1000  # proposals per round in randomized mode
     delta_min: float = 0.0  # accept only gains strictly above this
-    epsilon: float = 1e-6  # influence domain tail tolerance
     max_rounds: int = 10000
     seed: int = 0
     mode: str = "auto"  # "auto" | "exhaustive" | "randomized"
@@ -359,114 +353,3 @@ def local_search(
         trace.steps.append(TraceStep(round_index, swap.indices, gain, total_score(state.scores)))
     trace.swap_evaluations = state.evaluations
     return state.configuration(), trace
-
-
-# ---------------------------------------------------------------------------
-# influence domains and compatible swap selection
-
-
-@dataclass(frozen=True)
-class InfluenceDomain:
-    """Region a swap can influence: cubes on torus windows, sites on graphs.
-
-    A cube (center, r) is the closed axis cube of side r around the center.
-    """
-
-    window: Window
-    cubes: tuple[tuple[tuple[float, ...], float], ...] = ()
-    sites: tuple[int, ...] = ()
-
-    def contains_position(self, position) -> bool:
-        if self.window.kind != "cube":
-            return position in self.sites
-        for center, r in self.cubes:
-            if torus_distance_linf(self.window, center, position) <= r / 2.0:
-                return True
-        return False
-
-    def intersects(self, other: "InfluenceDomain") -> bool:
-        if self.window.kind != "cube":
-            return bool(set(self.sites) & set(other.sites))
-        for (ca, ra) in self.cubes:
-            for (cb, rb) in other.cubes:
-                if torus_distance_linf(self.window, ca, cb) <= (ra + rb) / 2.0:
-                    return True
-        return False
-
-
-def influence_domain(
-    c: Configuration, model: ScoreModel, swap: SwapProposal, epsilon: float
-) -> InfluenceDomain:
-    """Union of per-point influence regions of the changed points, with radii
-    evaluated under both the old and the new marks (the larger wins)."""
-    if c.window.kind != "cube":
-        return InfluenceDomain(window=c.window, sites=_graph_affected(c, swap.indices))
-    after = apply_swap(c, swap)
-    cubes = []
-    for i in swap.indices:
-        r = max(
-            model.stabilization_radius(c, i, epsilon),
-            model.stabilization_radius(after, i, epsilon),
-        )
-        cubes.append((c.points[i].position, r))
-    return InfluenceDomain(window=c.window, cubes=tuple(cubes))
-
-
-def iterate_influence_domain(
-    c: Configuration, model: ScoreModel, domain: InfluenceDomain, epsilon: float
-) -> InfluenceDomain:
-    """Grow a domain once: add the influence region of every point inside it."""
-    if c.window.kind != "cube":
-        return InfluenceDomain(window=c.window, sites=_graph_affected(c, domain.sites))
-    cubes = list(domain.cubes)
-    for j in range(c.n_points):
-        if domain.contains_position(c.points[j].position):
-            r = model.stabilization_radius(c, j, epsilon)
-            cubes.append((c.points[j].position, r))
-    return InfluenceDomain(window=c.window, cubes=tuple(cubes))
-
-
-def matern_compatible_subset(
-    c: Configuration,
-    model: ScoreModel,
-    swaps: list[SwapProposal],
-    epsilon: float,
-    priorities: list[float] | None = None,
-) -> list[int]:
-    """Indices of a maximal compatible set of swaps.
-
-    Conflict means the once-iterated influence domains intersect.  Swaps are
-    visited in order of priority (ties by list position) and retained when
-    they conflict with no previously retained swap, so every rejected swap
-    conflicts with a retained one of lower priority.
-    """
-    if priorities is None:
-        priorities = [float(k) for k in range(len(swaps))]
-    if len(priorities) != len(swaps):
-        raise ValidationError("need one priority per swap")
-    iterated = [
-        iterate_influence_domain(
-            c, model, influence_domain(c, model, swap, epsilon), epsilon
-        )
-        for swap in swaps
-    ]
-    order = sorted(range(len(swaps)), key=lambda k: (priorities[k], k))
-    retained: list[int] = []
-    for k in order:
-        if all(not iterated[k].intersects(iterated[r]) for r in retained):
-            retained.append(k)
-    return sorted(retained)
-
-
-def apply_swaps(c: Configuration, swaps: list[SwapProposal]) -> Configuration:
-    """Apply index-disjoint swaps simultaneously."""
-    assignments: dict[int, OptMark] = {}
-    for swap in swaps:
-        for i, mark in zip(swap.indices, swap.new_marks):
-            if i in assignments:
-                raise ValidationError(f"swaps overlap at point {i}")
-            assignments[i] = mark
-    for i in assignments:
-        if not 0 <= i < c.n_points:
-            raise ValidationError(f"swap index {i} outside configuration")
-    return c.with_opt_marks(assignments)

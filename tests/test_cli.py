@@ -204,6 +204,20 @@ class TestExitCodes:
         code = main(["generate", "--spec", path, "--out", str(tmp_path / "o"), "--threads", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("where", ["spec", "policy"])
+    @pytest.mark.parametrize("command", ["optimize", "estimate"])
+    def test_search_epsilon_is_unknown(self, tmp_path, capsys, where, command):
+        out = str(tmp_path / "out")
+        assert main(["generate", "--spec", write_spec(tmp_path, wr_line_spec()), "--out", out]) == 0
+        if where == "spec":
+            obj = wr_line_spec(search={"k_max": 2, "mode": "exhaustive", "epsilon": 1e-6})
+        else:
+            obj = wr_line_spec(policies=[{"name": "local-search", "search": {"epsilon": 1e-6}}])
+        path = write_spec(tmp_path, obj, name="epsilon.json")
+        capsys.readouterr()
+        assert main([command, "--spec", path, "--out", out]) == 2
+        assert "unknown search parameters ['epsilon']" in capsys.readouterr().err
+
 
 class TestThreadResolution:
     def test_explicit_wins(self):
@@ -681,8 +695,8 @@ class TestEstimateReuse:
         optimize_inputs = json.loads((out / "optimize_summary.json").read_text())["inputs"]
         exact_inputs = json.loads((out / "exact_summary.json").read_text())["inputs"]
         assert optimize_inputs.pop("search") == {
-            "k_max": 1, "trial_budget": 1000, "delta_min": 0.0, "epsilon": 1e-6,
-            "max_rounds": 10000, "seed": 0, "mode": "exhaustive", "indices": None,
+            "k_max": 1, "trial_budget": 1000, "delta_min": 0.0, "max_rounds": 10000,
+            "seed": 0, "mode": "exhaustive", "indices": None,
         }
         assert optimize_inputs == exact_inputs == {
             "window": spec_obj["window"],

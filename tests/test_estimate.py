@@ -33,12 +33,12 @@ from markopt.models import (
 from markopt.optimize import SearchParams
 from markopt.estimate import (
     Policy,
-    aloha_stab_radii,
+    aloha_stab_radii_all,
     aloha_truncated_score_at,
     apply_policy,
     campbell_identity_check,
     coverage_hit_probability,
-    hardcore_stab_radius,
+    hardcore_stab_radii_all,
     intensity_estimate,
     parse_policy,
     read_results_csv,
@@ -217,7 +217,7 @@ def hc_config(entries, side=20.0):
 
 def test_isolated_grain_radius_zero():
     c = hc_config([(2.0, 0.5), (15.0, 0.5)])
-    assert hardcore_stab_radius(c, 0) == 0.0
+    assert hardcore_stab_radii_all(c)[0] == 0.0
 
 
 def test_hardcore_radius_bound():
@@ -231,8 +231,9 @@ def test_hardcore_radius_bound():
         if c.n_points == 0:
             continue
         r_max = max(p.base.radius for p in c.points)
+        radii = hardcore_stab_radii_all(c)
         for i in range(c.n_points):
-            assert hardcore_stab_radius(c, i) <= 4.0 * r_max + 1e-12
+            assert radii[i] <= 4.0 * r_max + 1e-12
 
 
 def test_hardcore_radius_strong_stabilization():
@@ -249,8 +250,9 @@ def test_hardcore_radius_strong_stabilization():
         c = c.with_opt_marks(
             {i: Retain(bool(g.integers(0, 2))) for i in range(c.n_points)}
         )
+        radii = hardcore_stab_radii_all(c)
         for i in range(c.n_points):
-            r = hardcore_stab_radius(c, i)
+            r = radii[i]
             base = m.score_at(c, i)
             for j in range(c.n_points):
                 if j == i:
@@ -277,9 +279,9 @@ def test_aloha_radii_zero_when_epsilon_huge():
     c = aloha_sample(15)
     if c.n_points < 2:
         pytest.skip("draw too small")
-    internal, external = aloha_stab_radii(c, 0, epsilon=1e9, beta=4.0)
-    assert internal == 0.0
-    assert external == 0.0
+    internal, external = aloha_stab_radii_all(c, epsilon=1e9, beta=4.0)
+    assert internal[0] == 0.0
+    assert external[0] == 0.0
 
 
 def test_aloha_radii_monotone_in_epsilon():
@@ -287,9 +289,10 @@ def test_aloha_radii_monotone_in_epsilon():
     if c.n_points < 3:
         pytest.skip("draw too small")
     grid = [1e-1, 1e-2, 1e-3, 1e-4]
+    radii = [aloha_stab_radii_all(c, eps, 4.0) for eps in grid]
     for i in range(min(c.n_points, 5)):
-        internals = [aloha_stab_radii(c, i, eps, 4.0)[0] for eps in grid]
-        externals = [aloha_stab_radii(c, i, eps, 4.0)[1] for eps in grid]
+        internals = [internal[i] for internal, _ in radii]
+        externals = [external[i] for _, external in radii]
         assert internals == sorted(internals)
         assert externals == sorted(externals)
 
@@ -299,7 +302,7 @@ def test_aloha_radii_rejects_bad_epsilon():
     if c.n_points == 0:
         pytest.skip("empty draw")
     with pytest.raises(ValidationError):
-        aloha_stab_radii(c, 0, 0.0, 4.0)
+        aloha_stab_radii_all(c, 0.0, 4.0)
 
 
 def test_aloha_truncation_error_within_epsilon():
@@ -308,10 +311,10 @@ def test_aloha_truncation_error_within_epsilon():
         pytest.skip("draw too small")
     m = AlohaModel(beta=4.0)
     for eps in (1e-2, 1e-4):
+        internal, _ = aloha_stab_radii_all(c, eps, 4.0)
         for i in range(min(c.n_points, 6)):
-            internal, _ = aloha_stab_radii(c, i, eps, 4.0)
             full = m.score_at(c, i)
-            truncated = aloha_truncated_score_at(c, i, 4.0, internal)
+            truncated = aloha_truncated_score_at(c, i, 4.0, internal[i])
             assert abs(full - truncated) <= eps + 1e-12
 
 

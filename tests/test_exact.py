@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markopt.core import (
+    GEOM_TOL,
     NEG_INF,
     ColorMark,
     Configuration,
@@ -29,15 +30,25 @@ from markopt.core import (
     sample_poisson_configuration,
     sample_weighted_line,
     sample_weighted_tree,
+    score_diff,
+    sum_score_diffs,
     torus_distance,
 )
-from markopt.models import HardcoreModel, MatchingModel, WidomRowlinsonModel
+from markopt.models import (
+    HardcoreModel,
+    LilypondModel,
+    MatchingModel,
+    WidomRowlinsonModel,
+    _opt_mark,
+    lilypond_constraints,
+)
 from markopt.optimize import SearchParams, local_search, total_window_score
 from markopt.exact import (
     SIGNS,
     BlockingInterval,
     DpResult,
     LilypondEvent,
+    _lilypond_distances,
     _lilypond_residual,
     aloha_optimal_marking,
     aloha_point_objective,
@@ -45,6 +56,7 @@ from markopt.exact import (
     brute_force_optimum,
     is_blocking_interval,
     lilypond_fixed_point,
+    lilypond_perturbation_search,
     lilypond_radii_configuration,
     lilypond_solve,
     matching_optimum,
@@ -641,6 +653,68 @@ def test_lilypond_solve_matches_cubic_event_loop(case):
     assert repr((res.radii, res.residual, res.events)) == repr(cubic_lilypond_solve(c))
 
 
+def looped_perturbation_search(c, deltas=(1e-3, 1e-2)):
+    """Reference perturbation search: adds the score difference of every
+    other point, one point at a time."""
+    d = _lilypond_distances(c)
+    n = c.n_points
+    radii = np.array([_opt_mark(c, i, RadiusMark).radius for i in range(n)])
+    u = lilypond_constraints(d, radii)
+    first_idx = u.argmin(axis=1)
+    first = u[np.arange(n), first_idx]
+    u2 = u.copy()
+    u2[np.arange(n), first_idx] = np.inf
+    second = u2.min(axis=1)
+    before = np.where(radii <= first + GEOM_TOL, radii - first, NEG_INF)
+    best_gain, best = NEG_INF, None
+    others = np.arange(n)
+    for i in range(n):
+        mask = others != i
+        for delta in deltas:
+            for signed in (delta, -delta):
+                r_new = radii[i] + signed
+                if r_new < 0.0:
+                    continue
+                own_new = r_new - first[i] if r_new <= first[i] + GEOM_TOL else NEG_INF
+                diffs = [score_diff(own_new, float(before[i]))]
+                u_new = np.maximum(d[:, i] / 2.0, d[:, i] - r_new)
+                excl = np.where(first_idx == i, second, first)
+                min_new = np.minimum(excl, u_new)
+                after = np.where(radii <= min_new + GEOM_TOL, radii - min_new, NEG_INF)
+                for j in others[mask]:
+                    diffs.append(score_diff(float(after[j]), float(before[j])))
+                gain = sum_score_diffs(diffs)
+                if gain > best_gain:
+                    best_gain, best = gain, (i, signed)
+    return best_gain, best
+
+
+def perturbation_cases():
+    cases = []
+    for dim, side, seed in ((1, 30.0, 0), (2, 8.0, 1), (2, 8.0, 2), (3, 4.0, 3)):
+        c = sample_poisson_configuration(periodic_cube(dim, side), 1.0, "lilypond", None, seed)
+        radii = np.array(lilypond_solve(c).radii)
+        # the growth marking, then one with overlaps (-inf) and slack
+        cases.append(lilypond_radii_configuration(c, radii))
+        scale = rng(seed, 5).uniform(0.5, 1.5, len(radii))
+        cases.append(lilypond_radii_configuration(c, radii * scale))
+    two = lily_points([10.0, 13.0])
+    cases += [lilypond_radii_configuration(two, r) for r in ((1.5, 1.5), (0.5, 2.9), (2.0, 1.2))]
+    # point 0 cannot shrink by either delta
+    cases.append(lilypond_radii_configuration(lily_points([0.0, 1.0, 4.0]), (5e-4, 0.5, 1.0)))
+    return cases
+
+
+def test_perturbation_search_repr_equals_looped_sum():
+    cases = perturbation_cases()
+    model = LilypondModel()
+    assert sum(NEG_INF in list(model.window_scores(c)) for c in cases) >= 4
+    for c in cases:
+        for deltas in ((1e-3, 1e-2), (0.3,)):
+            expect = looped_perturbation_search(c, deltas)
+            assert repr(lilypond_perturbation_search(c, deltas)) == repr(expect)
+
+
 # -- concave argmax -----------------------------------------------------------
 
 
@@ -655,17 +729,6 @@ def test_argmax_interior_maximum():
 
 def test_argmax_constant_returns_left_endpoint():
     assert mtp_argmax(lambda p: 2.0, 0.25, 1.0) == pytest.approx(0.25, abs=1e-6)
-
-
-def test_argmax_grid_mode_smallest_maximizer():
-    # twin peaks of equal height: the smaller argument wins
-    f = lambda x: -min((x - 0.3) ** 2, (x - 0.7) ** 2)
-    assert mtp_argmax(f, 0.0, 1.0, method="grid") == pytest.approx(0.3, abs=1e-6)
-
-
-def test_argmax_rejects_nowhere_finite():
-    with pytest.raises(ValidationError):
-        mtp_argmax(lambda x: NEG_INF, 0.0, 1.0, method="grid")
 
 
 # -- aloha construction -------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markopt.core import (
-    GEOM_TOL,
     NEG_INF,
     AccessProb,
     ColorMark,
@@ -32,7 +31,6 @@ from markopt.core import (
     sample_weighted_line,
     sample_weighted_tree,
     torus_distance,
-    torus_distance_linf,
     tree_ball,
 )
 from markopt.models import (
@@ -343,20 +341,6 @@ def test_window_scores_edge_cases():
         assert_window_scores_match(m, c)
     with pytest.raises(ValidationError):
         list(AlohaModel(beta=2.0).window_scores(dense_case("aloha", 2, 3, 0)))
-
-
-def test_lilypond_stabilization_radius_matches_scalar_loop():
-    m = LilypondModel()
-    for dim, seed in ((1, 0), (2, 1), (2, 2)):
-        c = dense_case("lilypond", dim, 12, seed)
-        w, pos = c.window, [p.position for p in c.points]
-        nn = [min(torus_distance(w, a, b) for b in pos if b is not a) for a in pos]
-        for i, a in enumerate(pos):
-            expect = 0.0
-            for j, b in enumerate(pos):
-                if j != i and torus_distance(w, a, b) < nn[i] + nn[j] + GEOM_TOL:
-                    expect = max(expect, 2.0 * torus_distance_linf(w, a, b))
-            assert repr(m.stabilization_radius(c, i, 1e-6)) == repr(expect)
 
 
 # -- caching ------------------------------------------------------------------

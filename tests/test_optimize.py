@@ -1,4 +1,4 @@
-"""Swap machinery: gains, search, influence domains, compatible subsets."""
+"""Swap machinery: gains, search and proposals."""
 
 import itertools
 import math
@@ -39,14 +39,10 @@ from markopt.optimize import (
     SearchParams,
     SwapProposal,
     apply_swap,
-    apply_swaps,
     exhaustive_feasible,
     find_valid_swap,
-    influence_domain,
     initialize_marks,
-    iterate_influence_domain,
     local_search,
-    matern_compatible_subset,
     score_difference,
     total_window_score,
 )
@@ -477,31 +473,7 @@ def test_exhaustive_feasible_cap():
     assert not exhaustive_feasible(cont, LilypondModel()) or cont.n_points == 0
 
 
-# -- applying swaps -----------------------------------------------------------
-
-
-def test_apply_swaps_empty_is_identity():
-    c = sample_weighted_line(4, 0)
-    assert apply_swaps(c, []) == c
-
-
-def test_apply_swaps_matches_sequential_and_commutes():
-    c = sample_weighted_line(6, 1)
-    c = c.with_opt_marks({i: SignMark("0") for i in range(6)})
-    s1 = SwapProposal((0,), (SignMark("+"),))
-    s2 = SwapProposal((4, 5), (SignMark("-"), SignMark("-")))
-    both = apply_swaps(c, [s1, s2])
-    assert both == apply_swap(apply_swap(c, s1), s2)
-    assert both == apply_swaps(c, [s2, s1])
-
-
-def test_apply_swaps_rejects_overlap():
-    c = sample_weighted_line(4, 2)
-    c = c.with_opt_marks({i: SignMark("0") for i in range(4)})
-    s1 = SwapProposal((1,), (SignMark("+"),))
-    s2 = SwapProposal((1, 2), (SignMark("-"), SignMark("-")))
-    with pytest.raises(ValidationError):
-        apply_swaps(c, [s1, s2])
+# -- swap proposals -----------------------------------------------------------
 
 
 def test_swap_proposal_validation():
@@ -512,123 +484,3 @@ def test_swap_proposal_validation():
     with pytest.raises(ValidationError):
         SwapProposal((1,), (SignMark("+"), SignMark("-")))
 
-
-# -- influence domains --------------------------------------------------------
-
-
-def test_influence_domain_isolated_grain():
-    c = hardcore_line([(2.0, 0.5, True), (15.0, 0.5, True)])
-    m = HardcoreModel()
-    swap = SwapProposal((0,), (Retain(False),))
-    dom = influence_domain(c, m, swap, epsilon=1e-6)
-    assert len(dom.cubes) == 1
-    center, r = dom.cubes[0]
-    assert center == (2.0,)
-    assert r == 0.0
-    assert dom.contains_position((2.0,))
-    assert not dom.contains_position((2.1,))
-
-
-def test_influence_domains_of_distant_swaps_disjoint():
-    c = hardcore_line([(2.0, 1.0, True), (3.5, 1.0, True), (15.0, 1.0, True), (16.5, 1.0, True)])
-    m = HardcoreModel()
-    d1 = influence_domain(c, m, SwapProposal((0,), (Retain(False),)), 1e-6)
-    d2 = influence_domain(c, m, SwapProposal((2,), (Retain(False),)), 1e-6)
-    assert not d1.intersects(d2)
-    assert d1.intersects(d1)
-
-
-def test_aloha_domains_grow_as_epsilon_shrinks():
-    w = periodic_cube(1, 30.0)
-    m = AlohaModel(beta=4.0)
-    c = sample_poisson_configuration(w, 0.5, "aloha", m.default_base_sampler(w), 6)
-    if c.n_points < 3:
-        pytest.skip("draw too small")
-    c = c.with_opt_marks({i: m.sample_mark(c, i, rng(1)) for i in range(c.n_points)})
-    swap = SwapProposal((0,), (m.sample_mark(c, 0, rng(2)),))
-    radii = []
-    for eps in (1e-1, 1e-3, 1e-5):
-        dom = influence_domain(c, m, swap, eps)
-        radii.append(max(r for _, r in dom.cubes))
-    assert radii == sorted(radii)
-
-
-def test_iterate_influence_domain_grows():
-    c = hardcore_line([(2.0, 1.0, True), (3.5, 1.0, True), (5.0, 1.0, True)])
-    m = HardcoreModel()
-    dom = influence_domain(c, m, SwapProposal((0,), (Retain(False),)), 1e-6)
-    grown = iterate_influence_domain(c, m, dom, 1e-6)
-    for i in range(3):
-        if dom.contains_position(c.points[i].position):
-            assert grown.contains_position(c.points[i].position)
-    assert len(grown.cubes) >= len(dom.cubes)
-
-
-# -- compatible swap selection ------------------------------------------------
-
-
-def graph_swaps(c, sites):
-    return [SwapProposal((s,), (SignMark("+"),)) for s in sites]
-
-
-def test_matern_disjoint_all_retained():
-    c = sample_weighted_line(20, 4)
-    c = c.with_opt_marks({i: SignMark("0") for i in range(20)})
-    swaps = graph_swaps(c, [0, 8, 16])
-    kept = matern_compatible_subset(c, WR, swaps, 1e-6)
-    assert kept == [0, 1, 2]
-
-
-def test_matern_identical_domains_keep_min_priority():
-    c = sample_weighted_line(6, 4)
-    c = c.with_opt_marks({i: SignMark("0") for i in range(6)})
-    swaps = [
-        SwapProposal((2,), (SignMark("+"),)),
-        SwapProposal((2,), (SignMark("-"),)),
-        SwapProposal((2,), (SignMark("+"),)),
-    ]
-    kept = matern_compatible_subset(c, WR, swaps, 1e-6, priorities=[0.9, 0.1, 0.5])
-    assert kept == [1]
-
-
-def test_matern_chain_conflict_keeps_ends():
-    c = sample_weighted_line(11, 4)
-    c = c.with_opt_marks({i: SignMark("0") for i in range(11)})
-    swaps = graph_swaps(c, [0, 4, 8])
-    kept = matern_compatible_subset(c, WR, swaps, 1e-6, priorities=[0.1, 0.2, 0.3])
-    assert kept == [0, 2]
-
-
-def test_matern_output_pairwise_compatible_and_maximal():
-    c = sample_weighted_line(30, 8)
-    c = c.with_opt_marks({i: SignMark("0") for i in range(30)})
-    g = rng(17)
-    sites = sorted(int(s) for s in g.choice(30, size=8, replace=False))
-    swaps = graph_swaps(c, sites)
-    prios = [float(p) for p in g.random(len(swaps))]
-    kept = matern_compatible_subset(c, WR, swaps, 1e-6, priorities=prios)
-    doms = [
-        iterate_influence_domain(c, WR, influence_domain(c, WR, s, 1e-6), 1e-6)
-        for s in swaps
-    ]
-    for a in kept:
-        for b in kept:
-            if a != b:
-                assert not doms[a].intersects(doms[b])
-    for r in range(len(swaps)):
-        if r not in kept:
-            assert any(
-                doms[r].intersects(doms[a]) and prios[a] < prios[r] for a in kept
-            )
-
-
-def test_applying_compatible_swaps_gains_sum():
-    """Disjoint iterated domains make gains additive."""
-    c = sample_weighted_line(30, 9)
-    c = c.with_opt_marks({i: SignMark("0") for i in range(30)})
-    swaps = graph_swaps(c, [3, 15, 27])
-    kept = matern_compatible_subset(c, WR, swaps, 1e-6)
-    chosen = [swaps[k] for k in kept]
-    individual = sum(score_difference(c, s, WR) for s in chosen)
-    combined = total_window_score(apply_swaps(c, chosen), WR) - total_window_score(c, WR)
-    assert combined == pytest.approx(individual)
