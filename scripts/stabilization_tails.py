@@ -11,7 +11,6 @@ growing windows.
 from __future__ import annotations
 
 import argparse
-import math
 
 import numpy as np
 

@@ -21,19 +21,16 @@ from dataclasses import asdict, dataclass, fields, replace
 from . import exact
 from .core import (
     Configuration,
-    RadiusMark,
     UnsupportedModelError,
     ValidationError,
     Window,
     WorkCapError,
     dump_configuration,
     load_configuration,
-    substream_id,
     window_from_json,
     window_to_json,
 )
 from .estimate import (
-    _SEARCH_STREAM,
     Policy,
     ReplicateRecord,
     map_replicates,
@@ -44,12 +41,13 @@ from .estimate import (
     sample_configuration,
     scored_record,
     search_params_from_json,
+    search_replicate,
     summarize_records,
     write_json,
     write_results_csv,
 )
 from .models import MODEL_KINDS, ScoreModel, build_model
-from .optimize import SearchParams, initialize_marks, local_search
+from .optimize import SearchParams
 
 @dataclass
 class ExperimentSpec:
@@ -88,9 +86,6 @@ def load_experiment_spec(path: str) -> ExperimentSpec:
     if kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
     params = {k: v for k, v in model_obj.items() if k != "kind"}
-    for key in ("popularity",):
-        if key in params and isinstance(params[key], list):
-            params[key] = tuple(params[key])
     try:
         model = build_model(kind, **params)
     except TypeError as err:
@@ -179,9 +174,7 @@ def cmd_optimize(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) ->
     def worker(k: int):
         start = time.perf_counter()
         c = _load_replicate_config(out_dir, spec, k)
-        params = replace(spec.search, seed=substream_id(seed, _SEARCH_STREAM, k))
-        initial = initialize_marks(c, spec.model, params)
-        final, trace = local_search(initial, spec.model, params)
+        final, trace = search_replicate(c, spec.model, spec.search, seed, k)
         dump_configuration(final, _rep_path(out_dir, "marked", k))
         record = scored_record(final, spec.model, k, seed, start)
         info = {
@@ -214,47 +207,16 @@ def cmd_optimize(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) ->
 
 
 def exact_marking(c: Configuration, model: ScoreModel) -> tuple[Configuration, dict]:
-    """Best available certified marking for one configuration."""
-    kind = model.kind
-    if kind == "matching":
-        result = exact.matching_optimum(c)
-        return result.configuration, {
-            "method": "permutations",
-            "value": result.value,
-            "multiplicity": result.multiplicity,
-        }
-    if kind in ("hardcore", "caching", "wr_line", "wr_tree"):
-        try:
-            result = exact.brute_force_optimum(c, model, work_cap=10**6)
-        except WorkCapError:
-            if kind != "wr_line":
-                raise
-            resolution = exact.wr_unique_marking(c)
-            marked = exact.wr_marks_to_configuration(c, resolution.marks)
-            return marked, {
-                "method": "chain-dp",
-                "anchors": len(resolution.anchors),
-                "segments": len(resolution.segments),
-                "flags": resolution.flags,
-            }
-        marked = c.with_opt_marks(dict(enumerate(result.marks)))
-        return marked, {
-            "method": "brute",
-            "value": result.value,
-            "multiplicity": result.multiplicity,
-        }
-    if kind == "lilypond":
-        if c.n_points < 2:
-            # no growth partner: radius 0, as oracle:lilypond marks it
-            marked = c.with_opt_marks({i: RadiusMark(0.0) for i in range(c.n_points)})
-            return marked, {"method": "growth", "residual": 0.0}
-        result = exact.lilypond_solve(c)
-        marked = exact.lilypond_radii_configuration(c, result.radii)
-        return marked, {"method": "growth", "residual": result.residual}
-    if kind == "aloha":
-        marked = exact.aloha_optimal_marking(c, model.beta)
-        return marked, {"method": "separable-argmax"}
-    raise UnsupportedModelError(f"no exact route for {kind}")
+    """Best available certified marking for one configuration: the model's own
+    oracle, or brute force for the finite mark spaces, and the sign-chain
+    program for a wr_line chain too long to enumerate."""
+    oracle = model.kind if model.kind in ("lilypond", "aloha", "matching") else "brute"
+    try:
+        return exact.oracle_marking(c, model, oracle, work_cap=10**6)
+    except WorkCapError:
+        if model.kind != "wr_line":
+            raise
+        return exact.oracle_marking(c, model, "wr-chain")
 
 
 def cmd_exact(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) -> int:
@@ -282,11 +244,6 @@ def cmd_exact(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) -> in
     return 0
 
 
-# exact route -> the oracle policy that runs the same computation
-_ROUTE_ORACLES = {"brute": "brute", "chain-dp": "wr-chain", "growth": "lilypond",
-                  "separable-argmax": "aloha", "permutations": "matching"}
-
-
 def _stored_markings(out_dir: str, spec: ExperimentSpec, seed: int, policy: Policy) -> dict:
     """Replicate -> file in out_dir holding policy's marking of it, for each replicate whose
     summary records the same inputs and, for an oracle, the route that the oracle runs."""
@@ -307,7 +264,7 @@ def _stored_markings(out_dir: str, spec: ExperimentSpec, seed: int, policy: Poli
     return {
         e["replicate"]: _rep_path(out_dir, folder, e["replicate"])
         for e in summary[key]
-        if policy.name == "local-search" or _ROUTE_ORACLES.get(e["method"]) == policy.oracle
+        if policy.name == "local-search" or e["method"] == exact.ROUTES[policy.oracle][0]
     }
 
 

@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import exact
 from .core import (
     GEOM_TOL,
     AccessProb,
@@ -27,7 +28,6 @@ from .core import (
     GrainRadius,
     ItemSet,
     PartnerIndex,
-    RadiusMark,
     Retain,
     UnsupportedModelError,
     ValidationError,
@@ -54,14 +54,13 @@ from .models import (
     _base_mark,
     _opt_mark,
 )
-from .optimize import SearchParams, initialize_marks, local_search, total_window_score
+from .optimize import SearchParams, SearchTrace, local_search, total_window_score
 
 _GEN_STREAM = 11
 _MARK_STREAM = 12
 _SEARCH_STREAM = 13
 _COVER_STREAM = 14
-
-ORACLE_NAMES = ("brute", "wr-chain", "lilypond", "aloha", "matching")
+_SAMPLE_CHUNK = 1 << 15  # Monte Carlo locations drawn per batch
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +79,9 @@ class Policy:
         if self.name not in ("all-retain", "neutral", "random-iid", "local-search", "oracle"):
             raise ValidationError(f"unknown policy {self.name!r}")
         if self.name == "oracle":
-            if self.oracle not in ORACLE_NAMES:
+            if self.oracle not in exact.ROUTES:
                 raise ValidationError(
-                    f"oracle policy needs a target from {ORACLE_NAMES}, got {self.oracle!r}"
+                    f"oracle policy needs a target from {tuple(exact.ROUTES)}, got {self.oracle!r}"
                 )
         elif self.oracle is not None:
             raise ValidationError(f"policy {self.name!r} takes no oracle target")
@@ -149,11 +148,17 @@ def sample_configuration(
     )
 
 
+def search_replicate(
+    c: Configuration, model: ScoreModel, params: SearchParams, seed: int, replicate: int
+) -> tuple[Configuration, SearchTrace]:
+    """Local search on one replicate, seeded from the replicate's own substream."""
+    params = replace(params, seed=substream_id(seed, _SEARCH_STREAM, replicate))
+    return local_search(c, model, params)
+
+
 def apply_policy(
     c: Configuration, model: ScoreModel, policy: Policy, seed: int, replicate: int
 ) -> Configuration:
-    from . import exact
-
     n = c.n_points
     if policy.name == "all-retain":
         if model.kind != "hardcore":
@@ -168,27 +173,13 @@ def apply_policy(
         g = rng(seed, _MARK_STREAM, replicate)
         return c.with_opt_marks({i: model.sample_mark(c, i, g) for i in range(n)})
     if policy.name == "local-search":
-        params = policy.search if policy.search is not None else SearchParams()
-        params = replace(params, seed=substream_id(seed, _SEARCH_STREAM, replicate))
-        return local_search(initialize_marks(c, model, params), model, params)[0]
+        return search_replicate(c, model, policy.search or SearchParams(), seed, replicate)[0]
     assert policy.name == "oracle"
-    if policy.oracle == "brute":
-        result = exact.brute_force_optimum(c, model)
-        return c.with_opt_marks(dict(enumerate(result.marks)))
-    if policy.oracle == "wr-chain":
-        resolution = exact.wr_unique_marking(c)
-        return exact.wr_marks_to_configuration(c, resolution.marks)
-    if policy.oracle == "lilypond":
-        if n < 2:
-            # single-point windows have no growth partner; score 0 at radius 0
-            return c.with_opt_marks({i: RadiusMark(0.0) for i in range(n)})
-        return exact.lilypond_radii_configuration(c, exact.lilypond_solve(c).radii)
-    if policy.oracle == "aloha":
-        return exact.aloha_optimal_marking(c, model.beta)
-    assert policy.oracle == "matching"
     try:
-        return exact.matching_optimum(c).configuration
+        return exact.oracle_marking(c, model, policy.oracle)[0]
     except ValidationError:
+        if policy.oracle != "matching" or model.kind != "matching":
+            raise
         # unbalanced colors: no perfect matching, surface as inadmissible
         return c.with_opt_marks({i: PartnerIndex(-1) for i in range(n)})
 
@@ -315,9 +306,8 @@ def intensity_estimate(
     intensity: float | None = None,
     replicates: int = 100,
     seed: int = 0,
-    threads: int = 1,
 ) -> IntensityEstimate:
-    records = run_replicates(model, window, policy, intensity, replicates, seed, threads)
+    records = run_replicates(model, window, policy, intensity, replicates, seed)
     return summarize_records(records, window)
 
 
@@ -487,7 +477,6 @@ def coverage_hit_probability(
     popularity: tuple[float, ...],
     samples: int = 10**5,
     seed: int = 0,
-    chunk: int = 1 << 15,
 ) -> tuple[float, float]:
     """Monte Carlo probability that a uniform location requesting a
     popularity-distributed item finds it in some cache ball covering it.
@@ -512,8 +501,8 @@ def coverage_hit_probability(
     side = c.window.side
     dim = c.window.dim
     hits = 0
-    for start in range(0, samples, chunk):
-        m = min(chunk, samples - start)
+    for start in range(0, samples, _SAMPLE_CHUNK):
+        m = min(_SAMPLE_CHUNK, samples - start)
         y = g.uniform(0.0, side, size=(m, dim))
         ks = g.choice(np.arange(1, total_items + 1), size=m, p=np.asarray(popularity))
         if n == 0:
@@ -602,9 +591,8 @@ def campbell_identity_check(
         g = rng(seed, _COVER_STREAM)
         side = c.window.side
         hits = 0
-        chunk = 1 << 15
-        for start in range(0, samples, chunk):
-            m = min(chunk, samples - start)
+        for start in range(0, samples, _SAMPLE_CHUNK):
+            m = min(_SAMPLE_CHUNK, samples - start)
             y = g.uniform(0.0, side, size=(m, 2))
             if len(radii) == 0:
                 continue

@@ -5,7 +5,8 @@ a work cap, the sign-chain dynamic program with its blocking-interval
 shields, exhaustive deviation checks on tree balls, the exact lilypond
 growth solution with an independent fixed-point route, a one-dimensional
 argmax for per-point mark responses, and optimal matchings by permutation
-enumeration.
+enumeration.  The pipeline reaches its certified routes through one table,
+ROUTES, and one function, oracle_marking.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .core import (
     GEOM_TOL,
     NEG_INF,
     POS_INF,
+    AccessProb,
+    ColorMark,
     Configuration,
     MarkSpaceError,
     OptMark,
@@ -34,17 +37,27 @@ from .core import (
     score_diff,
     sum_score_diffs,
     torus_cross_distances,
-    torus_distance,
     tree_structure,
     tree_vertex_count,
 )
-from .models import ScoreModel, _opt_mark, aloha_receivers, lilypond_constraints
+from .models import (
+    MatchingModel,
+    ScoreModel,
+    _base_mark,
+    _opt_mark,
+    aloha_receivers,
+    lilypond_constraints,
+)
 from .optimize import SwapProposal, total_window_score
 
 BRUTE_FORCE_CAP = 10**7  # evaluated markings times points
 TREE_DEPTH_CAP = 6
 TREE_VMAX_CAP = 4
 MATCHING_PAIR_CAP = 9
+# damped Picard iteration of lilypond_fixed_point
+FIXED_POINT_DAMPING = 0.5
+FIXED_POINT_SWEEPS = 10**5
+FIXED_POINT_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +200,11 @@ def _all_blocking_intervals(weights: list[tuple[float, float]]) -> list[Blocking
 
 def wr_blocking_intervals(c: Configuration) -> list[BlockingInterval]:
     """Maximal blocking intervals of the chain, sorted by position."""
-    weights = _chain_weights(c)
-    intervals = sorted(
-        _all_blocking_intervals(weights), key=lambda iv: (iv.lo, -iv.hi)
-    )
+    return _maximal_intervals(_all_blocking_intervals(_chain_weights(c)))
+
+
+def _maximal_intervals(blocking: list[BlockingInterval]) -> list[BlockingInterval]:
+    intervals = sorted(blocking, key=lambda iv: (iv.lo, -iv.hi))
     maximal = []
     best_hi = -1
     for iv in intervals:
@@ -409,7 +423,7 @@ def wr_unique_marking(c: Configuration) -> WrResolution:
     weights = _chain_weights(c)
     n = len(weights)
     blocking = _all_blocking_intervals(weights)
-    intervals = wr_blocking_intervals(c)
+    intervals = _maximal_intervals(blocking)
     anchor_sources: dict[int, BlockingInterval] = {}
     for iv in blocking:
         for site in wr_anchor_sites(iv):
@@ -691,12 +705,7 @@ def lilypond_solve(c: Configuration) -> LilypondResult:
     return LilypondResult(tuple(float(r) for r in radii), _lilypond_residual(d, radii), events)
 
 
-def lilypond_fixed_point(
-    c: Configuration,
-    damping: float = 0.5,
-    max_sweeps: int = 10**5,
-    tol: float = 1e-12,
-) -> tuple[tuple[float, ...], float, int]:
+def lilypond_fixed_point(c: Configuration) -> tuple[tuple[float, ...], float, int]:
     """Damped Picard iteration on the touch constraints, from all-zero radii.
 
     Independent route to the same growth solution; returns (radii, residual,
@@ -705,12 +714,12 @@ def lilypond_fixed_point(
     d = _lilypond_distances(c)
     radii = np.zeros(c.n_points)
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, FIXED_POINT_SWEEPS + 1):
         target = lilypond_constraints(d, radii).min(axis=1)
-        new = damping * radii + (1.0 - damping) * target
+        new = FIXED_POINT_DAMPING * radii + (1.0 - FIXED_POINT_DAMPING) * target
         shift = float(np.abs(new - radii).max())
         radii = new
-        if shift < tol:
+        if shift < FIXED_POINT_TOL:
             break
     return tuple(float(r) for r in radii), _lilypond_residual(d, radii), sweeps
 
@@ -881,9 +890,7 @@ def _aloha_argmax(rows: np.ndarray, tol: float) -> list[float]:
     return np.where(at_lo, 0.0, np.where(at_hi, 1.0, 0.5 * (a + b))).tolist()
 
 
-def _access_prob(p: float):
-    from .core import AccessProb
-
+def _access_prob(p: float) -> AccessProb:
     return AccessProb(min(1.0, max(p, 1e-15)))
 
 
@@ -898,16 +905,13 @@ class MatchingResult:
     multiplicity: int
 
 
-def matching_optimum(c: Configuration, max_pairs: int = MATCHING_PAIR_CAP) -> MatchingResult:
+def matching_optimum(c: Configuration) -> MatchingResult:
     """Minimum total distance perfect matching of blue to red points, by
     enumeration of all red permutations.
 
-    Requires equal color counts; refuses more than max_pairs pairs.  Ties
-    keep the lexicographically first permutation.
+    Requires equal color counts; refuses more than MATCHING_PAIR_CAP pairs.
+    Ties keep the lexicographically first permutation.
     """
-    from .models import _base_mark
-    from .core import ColorMark
-
     blues = []
     reds = []
     for i in range(c.n_points):
@@ -918,14 +922,12 @@ def matching_optimum(c: Configuration, max_pairs: int = MATCHING_PAIR_CAP) -> Ma
             f"matching needs equal color counts, got {len(blues)} blue, {len(reds)} red"
         )
     m = len(blues)
-    if m > max_pairs:
-        raise WorkCapError(f"{m} pairs exceed the enumeration cap of {max_pairs}")
+    if m > MATCHING_PAIR_CAP:
+        raise WorkCapError(f"{m} pairs exceed the enumeration cap of {MATCHING_PAIR_CAP}")
     if m == 0:
         return MatchingResult(c, 0.0, 1)
-    dist = np.zeros((m, m))
-    for bi, b in enumerate(blues):
-        for ri, r in enumerate(reds):
-            dist[bi, ri] = torus_distance(c.window, c.points[b].position, c.points[r].position)
+    pos = positions_array(c)
+    dist = torus_cross_distances(c.window, pos[blues], pos[reds])
     best_perm: tuple[int, ...] | None = None
     best_cost = math.inf
     multiplicity = 0
@@ -942,7 +944,53 @@ def matching_optimum(c: Configuration, max_pairs: int = MATCHING_PAIR_CAP) -> Ma
         marks[blues[bi]] = PartnerIndex(reds[ri])
         marks[reds[ri]] = PartnerIndex(blues[bi])
     out = c.with_opt_marks(marks)
-    from .models import MatchingModel
-
     value = total_window_score(out, MatchingModel())
     return MatchingResult(out, value, multiplicity)
+
+
+# ---------------------------------------------------------------------------
+# certified routes of the pipeline
+
+# oracle -> (route name that exact_summary.json records, model kinds it certifies)
+ROUTES = {
+    "brute": ("brute", ("hardcore", "wr_line", "wr_tree", "caching", "matching")),
+    "wr-chain": ("chain-dp", ("wr_line",)),
+    "lilypond": ("growth", ("lilypond",)),
+    "aloha": ("separable-argmax", ("aloha",)),
+    "matching": ("permutations", ("matching",)),
+}
+
+
+def oracle_marking(
+    c: Configuration, model: ScoreModel, oracle: str, work_cap: int = BRUTE_FORCE_CAP
+) -> tuple[Configuration, dict]:
+    """The marking of c by the certified route of oracle, with what
+    exact_summary.json records of it; work_cap bounds brute force.  Refuses a
+    model kind that the route does not certify."""
+    method, kinds = ROUTES[oracle]
+    if model.kind not in kinds:
+        raise ValidationError(f"oracle:{oracle} does not certify {model.kind} markings")
+    info: dict = {"method": method}
+    if oracle == "brute":
+        result = brute_force_optimum(c, model, work_cap)
+        marked = c.with_opt_marks(dict(enumerate(result.marks)))
+        info.update(value=result.value, multiplicity=result.multiplicity)
+    elif oracle == "wr-chain":
+        resolution = wr_unique_marking(c)
+        marked = wr_marks_to_configuration(c, resolution.marks)
+        info.update(anchors=len(resolution.anchors), segments=len(resolution.segments),
+                    flags=resolution.flags)
+    elif oracle == "lilypond":
+        if c.n_points < 2:  # no growth partner: radius 0, score 0
+            result = LilypondResult((0.0,) * c.n_points, 0.0, [])
+        else:
+            result = lilypond_solve(c)
+        marked = lilypond_radii_configuration(c, result.radii)
+        info["residual"] = result.residual
+    elif oracle == "aloha":
+        marked = aloha_optimal_marking(c, model.beta)
+    else:
+        result = matching_optimum(c)
+        marked = result.configuration
+        info.update(value=result.value, multiplicity=result.multiplicity)
+    return marked, info

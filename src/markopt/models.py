@@ -32,7 +32,6 @@ from .core import (
     GrainRadius,
     ItemSet,
     MarkSpaceError,
-    MarkedPoint,
     OptMark,
     PartnerIndex,
     RadiusMark,
@@ -50,7 +49,6 @@ from .core import (
     receiver_offset_sampler,
     torus_cross_distances,
     torus_distance,
-    weight_pair_sampler,
     wrap_position,
 )
 
@@ -455,9 +453,6 @@ class WidomRowlinsonModel(ScoreModel):
     def affected_points(self, c: Configuration, changed: tuple[int, ...]) -> tuple[int, ...]:
         return _graph_affected(c, changed)
 
-    def default_base_sampler(self, window: Window) -> BaseSampler:
-        return weight_pair_sampler(self.weight_lo, self.weight_hi)
-
     def validate_for_window(self, window: Window) -> None:
         if window.kind != self.graph:
             raise ValidationError(f"{self.kind} needs a {self.graph} window")
@@ -686,9 +681,6 @@ def build_model(kind: str, **params) -> ScoreModel:
     if kind == "aloha":
         return AlohaModel(**params)
     if kind == "caching":
-        if "popularity" in params:
-            params = dict(params)
-            params["popularity"] = tuple(params["popularity"])
         return CachingModel(**params)
     if kind == "matching":
         return MatchingModel(**params)

@@ -21,7 +21,6 @@ from markopt.core import (
     ColorMark,
     Configuration,
     MarkedPoint,
-    SignMark,
     WeightPair,
     periodic_cube,
     rng,

@@ -8,12 +8,13 @@ import pytest
 
 from markopt.cli import (
     _resolve_threads,
-    exact_marking,
     load_experiment_spec,
     main,
 )
 from markopt.core import ValidationError, load_configuration
 from markopt.estimate import read_results_csv
+from markopt.exact import ROUTES
+from markopt.models import MODEL_KINDS
 
 
 def write_spec(tmp_path, obj, name="spec.json"):
@@ -217,6 +218,26 @@ class TestExitCodes:
         capsys.readouterr()
         assert main([command, "--spec", path, "--out", out]) == 2
         assert "unknown search parameters ['epsilon']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "oracle, kind",
+        [(o, kind) for o, (_, kinds) in ROUTES.items() for kind in MODEL_KINDS
+         if kind not in kinds],
+    )
+    def test_uncertified_oracle_is_2(self, tmp_path, capsys, oracle, kind):
+        window, intensity = {
+            "wr_line": ({"kind": "line", "n": 6}, None),
+            "wr_tree": ({"kind": "tree", "depth": 1}, None),
+            "hardcore": ({"kind": "cube", "d": 1, "L": 6.0}, 1.0),
+            "caching": ({"kind": "cube", "d": 1, "L": 3.0}, 1.0),
+        }.get(kind, ({"kind": "cube", "d": 2, "L": 4.0}, 0.5))
+        obj = {"name": "uncertified", "window": window, "model": {"kind": kind},
+               "policies": [f"oracle:{oracle}"], "replicates": 1, "seed": 1}
+        if intensity is not None:
+            obj["intensity"] = intensity
+        path = write_spec(tmp_path, obj)
+        assert main(["estimate", "--spec", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"error: oracle:{oracle} does not certify {kind}" in capsys.readouterr().err
 
 
 class TestThreadResolution:
@@ -571,8 +592,30 @@ def brute_spec(replicates=4, seed=3):
     return obj
 
 
+def caching_spec():
+    return {
+        "name": "caching-smoke",
+        "window": {"kind": "cube", "d": 1, "L": 3.0},
+        "model": {"kind": "caching"},
+        "intensity": 1.0,
+        "policies": ["random-iid", "local-search", "oracle:brute"],
+        "search": {"k_max": 1, "mode": "exhaustive"},
+        "replicates": 3,
+        "seed": 5,
+    }
+
+
+def wr_tree_spec():
+    return wr_line_spec(
+        name="wr-tree-smoke", window={"kind": "tree", "depth": 1}, model={"kind": "wr_tree"},
+        policies=["oracle:brute", "local-search"],
+    )
+
+
 REUSE_SPECS = {
     "hardcore": brute_spec,
+    "caching": caching_spec,
+    "wr-tree": wr_tree_spec,
     "wr-brute-route": lambda: wr_line_spec(n=8, replicates=3),
     "wr-chain-route": lambda: wr_line_spec(n=40, replicates=2),
     "lilypond": lilypond_spec,

@@ -43,7 +43,6 @@ from markopt.core import (
     tree_ball,
     tree_structure,
     tree_vertex_count,
-    weight_pair_sampler,
     wrap_position,
 )
 

@@ -26,7 +26,6 @@ from markopt.models import (
     AlohaModel,
     CachingModel,
     HardcoreModel,
-    LilypondModel,
     MatchingModel,
     WidomRowlinsonModel,
 )

@@ -42,7 +42,7 @@ from markopt.models import (
     _opt_mark,
     lilypond_constraints,
 )
-from markopt.optimize import SearchParams, local_search, total_window_score
+from markopt.optimize import SearchParams, local_search
 from markopt.exact import (
     SIGNS,
     BlockingInterval,
@@ -472,7 +472,7 @@ def test_tree_boundary_rejects_rim_vertices():
 
 def test_tree_boundary_dominates_interior():
     g = rng(41)
-    from markopt.core import tree_structure, tree_vertex_count
+    from markopt.core import tree_vertex_count
 
     depth = 5
     interior = tree_vertex_count(depth - 1)

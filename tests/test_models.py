@@ -23,7 +23,6 @@ from markopt.core import (
     ValidationError,
     WeightPair,
     integer_line,
-    is_admissible,
     periodic_cube,
     receiver_offset_sampler,
     rng,
@@ -31,7 +30,6 @@ from markopt.core import (
     sample_weighted_line,
     sample_weighted_tree,
     torus_distance,
-    tree_ball,
 )
 from markopt.models import (
     AlohaModel,
