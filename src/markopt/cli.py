@@ -102,6 +102,9 @@ def load_experiment_spec(path: str) -> ExperimentSpec:
     if not isinstance(policies_obj, list):
         raise ValidationError("policies must be a list")
     policies = [parse_policy(p) for p in policies_obj]
+    for p in policies:
+        if p.name == "oracle":
+            exact.certified_route(p.oracle, model.kind)
     search = search_params_from_json(obj.get("search"))
     replicates = obj.get("replicates", 20)
     if not isinstance(replicates, int) or replicates < 0:
@@ -244,6 +247,12 @@ def cmd_exact(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) -> in
     return 0
 
 
+def _without_search_seed(inputs: object) -> object:
+    """Recorded inputs without search.seed, which search_replicate replaces per replicate."""
+    search = inputs.get("search") if isinstance(inputs, dict) else None
+    return dict(inputs, search=dict(search, seed=None)) if isinstance(search, dict) else inputs
+
+
 def _stored_markings(out_dir: str, spec: ExperimentSpec, seed: int, policy: Policy) -> dict:
     """Replicate -> file in out_dir holding policy's marking of it, for each replicate whose
     summary records the same inputs and, for an oracle, the route that the oracle runs."""
@@ -259,7 +268,7 @@ def _stored_markings(out_dir: str, spec: ExperimentSpec, seed: int, policy: Poli
             summary = json.load(fh)
     except (OSError, ValueError):
         return {}
-    if summary.get("inputs") != inputs:
+    if _without_search_seed(summary.get("inputs")) != _without_search_seed(inputs):
         return {}
     return {
         e["replicate"]: _rep_path(out_dir, folder, e["replicate"])
@@ -416,10 +425,7 @@ def main(argv: list[str] | None = None) -> int:
             "estimate": cmd_estimate,
         }[args.command]
         return handler(spec, args.out, seed, threads)
-    except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except UnsupportedModelError as err:
+    except (ValidationError, UnsupportedModelError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except WorkCapError as err:

@@ -138,11 +138,7 @@ class Window:
     @property
     def volume(self) -> float:
         """Lebesgue volume of the cube, or the number of sites of a graph window."""
-        if self.kind == "cube":
-            return self.side**self.dim
-        if self.kind == "line":
-            return float(self.n_sites)
-        return float(tree_vertex_count(self.depth))
+        return self.side**self.dim if self.kind == "cube" else float(self.site_count)
 
     @property
     def site_count(self) -> int:
@@ -216,8 +212,7 @@ def graph_neighbors(window: Window, site: int) -> tuple[int, ...]:
             nbrs.append(site + 1)
         return tuple(nbrs)
     if window.kind == "tree":
-        adjacency, _ = tree_structure(window.depth)
-        return adjacency[site]
+        return tree_structure(window.depth)[0][site]
     raise ValidationError("cube windows have no graph neighbors")
 
 
@@ -232,13 +227,7 @@ def torus_delta(window: Window, x: Sequence[float], y: Sequence[float]) -> tuple
     if len(x) != window.dim or len(y) != window.dim:
         raise ValidationError("position dimension mismatch")
     side = window.side
-    out = []
-    for a, b in zip(x, y):
-        d = abs(a - b)
-        if d > side - d:
-            d = side - d
-        out.append(d)
-    return tuple(out)
+    return tuple(min(d, side - d) for d in (abs(a - b) for a, b in zip(x, y)))
 
 
 def torus_distance(window: Window, x: Sequence[float], y: Sequence[float]) -> float:
@@ -368,7 +357,8 @@ class MarkedPoint:
 
 @dataclass(frozen=True)
 class Configuration:
-    """An immutable finite marked configuration tied to a window and a model id."""
+    """An immutable finite marked configuration tied to a window and a model id,
+    with a private cache (``derived``) that equality, repr and JSON ignore."""
 
     window: Window
     model_id: str
@@ -376,6 +366,7 @@ class Configuration:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "_derived", {})
         if self.window.kind == "cube":
             seen = set()
             for p in self.points:
@@ -409,18 +400,29 @@ class Configuration:
         pts = list(self.points)
         for i, mark in assignments.items():
             pts[i] = replace(pts[i], opt=mark)
-        return Configuration(self.window, self.model_id, tuple(pts))
+        return _replace_points(self, tuple(pts))
+
+    def derived(self, key: object, build: Callable[["Configuration"], object]) -> object:
+        """build(self) for a build that reads only positions and base marks,
+        computed once per key for all configurations that ``with_opt_marks``
+        and ``_replace_points`` derive from one built any other way."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build(self)
+        return value
 
 
 def _replace_points(c: Configuration, points) -> Configuration:
     """Copy of a configuration with a different point sequence, skipping
-    validation.  Internal fast path for swap scans: the points must already
-    be valid for the window, and the caller keeps ownership of the sequence
-    (it may even be a list that is mutated between score evaluations)."""
+    validation.  Internal fast path for swap scans: the points must carry c's
+    positions and base marks (the copy shares c's derived cache), and the
+    caller keeps ownership of the sequence (it may even be a list that is
+    mutated between score evaluations)."""
     out = object.__new__(Configuration)
     object.__setattr__(out, "window", c.window)
     object.__setattr__(out, "model_id", c.model_id)
     object.__setattr__(out, "points", points)
+    object.__setattr__(out, "_derived", c._derived)
     return out
 
 
@@ -428,9 +430,7 @@ def positions_array(c: Configuration) -> np.ndarray:
     """(n, dim) float array of cube positions."""
     if c.window.kind != "cube":
         raise ValidationError("positions_array requires a cube window")
-    if c.n_points == 0:
-        return np.zeros((0, c.window.dim))
-    return np.array([p.position for p in c.points], dtype=float)
+    return np.array([p.position for p in c.points], dtype=float).reshape(-1, c.window.dim)
 
 
 def _wrapped_deltas(window: Window, a: np.ndarray, b: np.ndarray):
@@ -556,25 +556,25 @@ def sample_poisson_configuration(
     return Configuration(window, model_id, tuple(points))
 
 
+def _sample_weighted(window: Window, model_id: str, seed: int, stream, lo, hi) -> Configuration:
+    g = rng(seed, *stream)
+    sampler = weight_pair_sampler(lo, hi)
+    points = tuple(MarkedPoint(position=i, base=sampler(g)) for i in range(window.site_count))
+    return Configuration(window, model_id, points)
+
+
 def sample_weighted_line(
     n_sites: int, seed: int, *stream: int, lo: float = 0.0, hi: float = 1.0
 ) -> Configuration:
     """Integer line with one point per site and iid uniform weight pairs."""
-    g = rng(seed, *stream)
-    sampler = weight_pair_sampler(lo, hi)
-    points = tuple(MarkedPoint(position=i, base=sampler(g)) for i in range(n_sites))
-    return Configuration(integer_line(n_sites), "wr_line", points)
+    return _sample_weighted(integer_line(n_sites), "wr_line", seed, stream, lo, hi)
 
 
 def sample_weighted_tree(
     depth: int, seed: int, *stream: int, lo: float = 0.0, hi: float = 1.0
 ) -> Configuration:
     """Tree ball with one point per vertex and iid uniform weight pairs."""
-    g = rng(seed, *stream)
-    sampler = weight_pair_sampler(lo, hi)
-    count = tree_vertex_count(depth)
-    points = tuple(MarkedPoint(position=i, base=sampler(g)) for i in range(count))
-    return Configuration(tree_ball(depth), "wr_tree", points)
+    return _sample_weighted(tree_ball(depth), "wr_tree", seed, stream, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .core import (
     UnsupportedModelError,
     ValidationError,
     Window,
+    _replace_points,
     is_admissible,
     load_configuration,
     pairwise_torus_distances,
@@ -231,12 +232,14 @@ def scored_record(
 
 
 def _stored_marking(path: str, c: Configuration) -> Configuration | None:
-    """The marking in file path if it has the window, model, points and base marks of c."""
+    """The marking in file path, sharing c's derived cache, if the file has the
+    window, model, points and base marks of the unmarked c."""
     try:
         m = load_configuration(path)
     except (OSError, ValidationError):
         return None
-    return m if m.with_opt_marks(dict.fromkeys(range(m.n_points))) == c else None
+    unmarked = m.with_opt_marks(dict.fromkeys(range(m.n_points)))
+    return _replace_points(c, m.points) if unmarked == c else None
 
 
 def run_replicate(
@@ -319,17 +322,10 @@ def hardcore_stab_radii_all(c: Configuration) -> np.ndarray:
     """Per-point influence range of retention decisions: twice the farthest
     sup-norm distance over grains that can overlap the point's own grain.
     Depends on positions and grain radii only, never on retention marks."""
-    n = c.n_points
-    if n == 0:
-        return np.zeros(0)
-    radii = np.array([_base_mark(c, i, GrainRadius).radius for i in range(n)])
-    if n == 1:
-        return np.zeros(1)
-    d = pairwise_torus_distances(c)
-    linf = pairwise_torus_linf(c)
-    capable = d < (radii[:, None] + radii[None, :]) - GEOM_TOL
+    radii = np.array([_base_mark(c, i, GrainRadius).radius for i in range(c.n_points)])
+    capable = pairwise_torus_distances(c) < (radii[:, None] + radii[None, :]) - GEOM_TOL
     np.fill_diagonal(capable, False)
-    return np.where(capable, 2.0 * linf, 0.0).max(axis=1)
+    return np.where(capable, 2.0 * pairwise_torus_linf(c), 0.0).max(axis=1, initial=0.0)
 
 
 def _tail_radius(candidates: np.ndarray, terms: np.ndarray, epsilon: float) -> float:
@@ -526,15 +522,9 @@ class CampbellCheck:
 
 
 def _retained_grains(c: Configuration) -> tuple[np.ndarray, np.ndarray]:
-    keep = []
-    for i in range(c.n_points):
-        if _opt_mark(c, i, Retain).keep:
-            keep.append((c.points[i].position, _base_mark(c, i, GrainRadius).radius))
-    if not keep:
-        return np.zeros((0, c.window.dim)), np.zeros(0)
-    pos = np.array([k[0] for k in keep])
-    radii = np.array([k[1] for k in keep])
-    return pos, radii
+    keep = [i for i in range(c.n_points) if _opt_mark(c, i, Retain).keep]
+    radii = np.array([_base_mark(c, i, GrainRadius).radius for i in keep], dtype=float)
+    return positions_array(c)[keep], radii
 
 
 def _interval_union_fraction(side: float, centers: np.ndarray, radii: np.ndarray) -> float:

@@ -961,16 +961,21 @@ ROUTES = {
 }
 
 
+def certified_route(oracle: str, kind: str) -> str:
+    """The route name of oracle; refuses a model kind that it does not certify."""
+    method, kinds = ROUTES[oracle]
+    if kind not in kinds:
+        raise ValidationError(f"oracle:{oracle} does not certify {kind} markings")
+    return method
+
+
 def oracle_marking(
     c: Configuration, model: ScoreModel, oracle: str, work_cap: int = BRUTE_FORCE_CAP
 ) -> tuple[Configuration, dict]:
     """The marking of c by the certified route of oracle, with what
     exact_summary.json records of it; work_cap bounds brute force.  Refuses a
     model kind that the route does not certify."""
-    method, kinds = ROUTES[oracle]
-    if model.kind not in kinds:
-        raise ValidationError(f"oracle:{oracle} does not certify {model.kind} markings")
-    info: dict = {"method": method}
+    info: dict = {"method": certified_route(oracle, model.kind)}
     if oracle == "brute":
         result = brute_force_optimum(c, model, work_cap)
         marked = c.with_opt_marks(dict(enumerate(result.marks)))

@@ -8,9 +8,10 @@ declares a sign regime: "nonneg" scores lie in [0, inf) and "nonpos" in
 
 The model objects also expose the metadata the search and estimation layers
 need: the neutral mark (scores 0 itself and never affects the others), the
-mark space (finite candidate lists or continuous proposal rules), a superset
-of points whose scores a mark change can touch, and default base mark
-samplers for the generation pipeline.
+mark space (finite candidate lists or continuous proposal rules), the
+interaction graph and from it a superset of points whose scores a mark
+change can touch, and default base mark samplers for the generation
+pipeline.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -74,6 +75,38 @@ def _base_mark(c: Configuration, i: int, cls: type):
 
 
 # ---------------------------------------------------------------------------
+# grain contacts
+
+# distance entries per block of the contact build, so no n x n matrix is made
+_CONTACT_BLOCK = 1 << 16
+
+
+def grain_contacts(c: Configuration, closed: bool):
+    """Per point, the other points j at torus distance d < r_i + r_j + GEOM_TOL
+    (<= when closed), ascending, and those d: tuples in two lists, built once
+    per configuration family from ``torus_cross_distances``."""
+
+    def build(c: Configuration):
+        radii = np.array([_base_mark(c, i, GrainRadius).radius for i in range(c.n_points)])
+        pos, neighbors, distances = positions_array(c), [], []
+        step = max(1, _CONTACT_BLOCK // max(c.n_points, 1))
+        for lo in range(0, c.n_points, step):
+            d = torus_cross_distances(c.window, pos[lo : lo + step], pos)
+            reach = radii[lo : lo + step, None] + radii + GEOM_TOL
+            near = d <= reach if closed else d < reach
+            near[np.arange(len(near)), np.arange(lo, lo + len(near))] = False
+            rows, cols = np.nonzero(near)
+            js, ds, start = cols.tolist(), d[rows, cols].tolist(), 0
+            for count in np.bincount(rows, minlength=len(near)).tolist():
+                neighbors.append(tuple(js[start : start + count]))
+                distances.append(tuple(ds[start : start + count]))
+                start += count
+        return neighbors, distances
+
+    return c.derived(("grain-contacts", closed), build)
+
+
+# ---------------------------------------------------------------------------
 # hard-core thinning
 
 
@@ -93,23 +126,23 @@ def hardcore_score_at(c: Configuration, i: int) -> float:
     """
     if not _opt_mark(c, i, Retain).keep:
         return 0.0
-    p = c.points[i]
     r_i = _base_mark(c, i, GrainRadius).radius
-    w = c.window
-    for j, q in enumerate(c.points):
-        if j == i or not _opt_mark(c, j, Retain).keep:
+    neighbors, distances = grain_contacts(c, closed=False)
+    for j, d in zip(neighbors[i], distances[i]):
+        if not _opt_mark(c, j, Retain).keep:
             continue
-        r_j = _base_mark(c, j, GrainRadius).radius
-        if torus_distance(w, p.position, q.position) < r_i + r_j - GEOM_TOL:
+        if d < r_i + c.points[j].base.radius - GEOM_TOL:
             return NEG_INF
-    return grain_volume(w.dim, r_i)
+    return grain_volume(c.window.dim, r_i)
 
 
 # ---------------------------------------------------------------------------
 # Widom-Rowlinson on graphs
 
 
-def _wr_score_at(c: Configuration, i: int) -> float:
+def wr_score_at(c: Configuration, i: int) -> float:
+    """Sign 0 scores 0, signs +/- score their weight unless a graph neighbor
+    carries the opposite sign, which is inadmissible."""
     sign = _opt_mark(c, i, SignMark).sign
     if sign == "0":
         return 0.0
@@ -121,34 +154,14 @@ def _wr_score_at(c: Configuration, i: int) -> float:
     return weights.w_plus if sign == "+" else weights.w_minus
 
 
-def wr_line_score_at(c: Configuration, i: int) -> float:
-    """Sign 0 scores 0, signs +/- score their weight unless a line neighbor
-    carries the opposite sign, which is inadmissible."""
-    if c.window.kind != "line":
-        raise ValidationError("wr_line_score_at needs a line window")
-    return _wr_score_at(c, i)
-
-
-def wr_tree_score_at(c: Configuration, i: int) -> float:
-    if c.window.kind != "tree":
-        raise ValidationError("wr_tree_score_at needs a tree window")
-    return _wr_score_at(c, i)
-
-
 # ---------------------------------------------------------------------------
 # lilypond growth
 
 
-def lilypond_constraint(c: Configuration, i: int, j: int) -> float:
-    """Largest radius of point i compatible with point j's ball: the midpoint
-    distance while j is no larger, else the distance minus j's radius."""
-    d = torus_distance(c.window, c.points[i].position, c.points[j].position)
-    r_j = _opt_mark(c, j, RadiusMark).radius
-    return max(0.5 * d, d - r_j)
-
-
 def lilypond_constraints(d: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """lilypond_constraint(c, i, j) for all i != j; inf on the diagonal."""
+    """Largest radius of point i compatible with point j's ball, for all i !=
+    j: the midpoint distance while j is no larger, else the distance minus
+    j's radius; inf on the diagonal."""
     u = np.maximum(0.5 * d, d - radii[None, :])
     np.fill_diagonal(u, np.inf)
     return u
@@ -160,7 +173,10 @@ def lilypond_score_at(c: Configuration, i: int) -> float:
     r_i = _opt_mark(c, i, RadiusMark).radius
     if c.n_points == 1:
         return 0.0
-    tightest = min(lilypond_constraint(c, i, j) for j in range(c.n_points) if j != i)
+    radii = np.array([_opt_mark(c, j, RadiusMark).radius for j in range(c.n_points)])
+    pos = positions_array(c)
+    d = torus_cross_distances(c.window, pos[i : i + 1], pos)[0]
+    tightest = float(np.delete(np.maximum(0.5 * d, d - radii), i).min())
     if r_i <= tightest + GEOM_TOL:
         return r_i - tightest
     return NEG_INF
@@ -180,24 +196,28 @@ def aloha_receivers(c: Configuration) -> np.ndarray:
     return np.array([aloha_receiver(c, i) for i in range(c.n_points)]).reshape(-1, c.window.dim)
 
 
+def _aloha_log_throughput(probs: list[float], dist: list[float], i: int, beta: float) -> float:
+    """Own log access probability plus the log success factors of all
+    interferers j at distance dist[j] from i's receiver."""
+    acc = math.log(probs[i])
+    for j, d in enumerate(dist):
+        if j == i:
+            continue
+        x = probs[j] / (1.0 + d**beta)
+        if x >= 1.0:
+            return NEG_INF
+        acc += math.log1p(-x)
+    return acc
+
+
 def aloha_score_at(c: Configuration, i: int, beta: float) -> float:
     """Log throughput of link i: own log access probability plus the log
     success factors of all interferers at i's receiver."""
     if beta <= c.window.dim:
         raise ValidationError(f"aloha needs beta > dim, got beta={beta}, dim={c.window.dim}")
-    p_i = _opt_mark(c, i, AccessProb).prob
-    receiver = aloha_receiver(c, i)
-    acc = math.log(p_i)
-    for j in range(c.n_points):
-        if j == i:
-            continue
-        p_j = _opt_mark(c, j, AccessProb).prob
-        d = torus_distance(c.window, c.points[j].position, receiver)
-        x = p_j / (1.0 + d**beta)
-        if x >= 1.0:
-            return NEG_INF
-        acc += math.log1p(-x)
-    return acc
+    probs = [_opt_mark(c, j, AccessProb).prob for j in range(c.n_points)]
+    dist = torus_cross_distances(c.window, np.array([aloha_receiver(c, i)]), positions_array(c))
+    return _aloha_log_throughput(probs, dist[0].tolist(), i, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +261,14 @@ def _caching_score_1d(
     ball_len = min(2.0 * r_i, side)
     start = (x_i - r_i) % side
     total = 0.0
+    # only i and its grain contacts can cover part of i's ball
+    near = sorted((i, *grain_contacts(c, closed=True)[0][i]))
     for k in items:
         # coverage pieces of item k inside the ball, in ball-local coordinates
         pieces: list[tuple[float, float]] = []
         cuts = {0.0, ball_len}
-        for j, q in enumerate(c.points):
+        for j in near:
+            q = c.points[j]
             if k not in _opt_mark(c, j, ItemSet).items:
                 continue
             r_j = _base_mark(c, j, GrainRadius).radius
@@ -323,7 +346,8 @@ def matching_score_at(c: Configuration, i: int) -> float:
 
 @dataclass(frozen=True)
 class ScoreModel:
-    """Shared behavior; concrete models override the hooks they support."""
+    """Shared behavior; concrete models override the hooks they support.
+    ``interaction_neighbors`` is the one place that knows a model's range."""
 
     kind: str = field(init=False, default="")
     sign_regime: str = field(init=False, default="nonneg")
@@ -362,28 +386,35 @@ class ScoreModel:
     ) -> OptMark:
         return self.sample_mark(c, i, g)
 
+    def interaction_neighbors(self, c: Configuration) -> Sequence[tuple[int, ...]] | None:
+        """Each point's neighbors, ascending: the only other points whose opt
+        marks can move its score.  None when the interaction range is not finite."""
+        return None
+
     def affected_points(self, c: Configuration, changed: tuple[int, ...]) -> tuple[int, ...]:
         """Superset of points whose score can move when the opt marks at
-        ``changed`` change, in increasing order and including ``changed``.
+        ``changed`` change, in increasing order and including ``changed``:
+        ``changed`` and their interaction neighbors, or every point.
 
         The set may depend on positions and base marks but never on opt
         marks: local search caches swap gains and reuses a gain for as long
-        as no accepted swap's affected set meets the swap's own.
+        as no accepted swap's affected set meets the swap's own.  So models
+        build the graph once through ``Configuration.derived``, shared by
+        every configuration that ``with_opt_marks`` derives.
         """
-        return tuple(range(c.n_points))
+        graph = self.interaction_neighbors(c)
+        if graph is None:
+            return tuple(range(c.n_points))
+        out = set(changed)
+        for i in changed:
+            out.update(graph[i])
+        return tuple(sorted(out))
 
     def default_base_sampler(self, window: Window) -> BaseSampler | None:
         return None
 
     def validate_for_window(self, window: Window) -> None:
         pass
-
-
-def _graph_affected(c: Configuration, changed: tuple[int, ...]) -> tuple[int, ...]:
-    out = set(changed)
-    for i in changed:
-        out.update(graph_neighbors(c.window, i))
-    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -393,7 +424,6 @@ class HardcoreModel(ScoreModel):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", "hardcore")
-        object.__setattr__(self, "sign_regime", "nonneg")
 
     def score_at(self, c: Configuration, i: int) -> float:
         return hardcore_score_at(c, i)
@@ -407,19 +437,8 @@ class HardcoreModel(ScoreModel):
     def sample_mark(self, c: Configuration, i: int, g: np.random.Generator) -> OptMark:
         return Retain(bool(g.integers(0, 2)))
 
-    def affected_points(self, c: Configuration, changed: tuple[int, ...]) -> tuple[int, ...]:
-        out = set(changed)
-        w = c.window
-        for i in changed:
-            r_i = c.points[i].base.radius
-            for j in range(c.n_points):
-                if j in out:
-                    continue
-                r_j = c.points[j].base.radius
-                d = torus_distance(w, c.points[i].position, c.points[j].position)
-                if d < r_i + r_j + GEOM_TOL:
-                    out.add(j)
-        return tuple(sorted(out))
+    def interaction_neighbors(self, c: Configuration) -> list[tuple[int, ...]]:
+        return grain_contacts(c, closed=False)[0]
 
     def default_base_sampler(self, window: Window) -> BaseSampler:
         return grain_radius_sampler(self.radius_lo, self.radius_hi)
@@ -439,10 +458,11 @@ class WidomRowlinsonModel(ScoreModel):
         if self.graph not in ("line", "tree"):
             raise ValidationError(f"graph must be line or tree, got {self.graph!r}")
         object.__setattr__(self, "kind", f"wr_{self.graph}")
-        object.__setattr__(self, "sign_regime", "nonneg")
 
     def score_at(self, c: Configuration, i: int) -> float:
-        return wr_line_score_at(c, i) if self.graph == "line" else wr_tree_score_at(c, i)
+        if c.window.kind != self.graph:
+            raise ValidationError(f"{self.kind} needs a {self.graph} window")
+        return wr_score_at(c, i)
 
     def mark_candidates(self, c: Configuration, i: int) -> tuple[OptMark, ...]:
         return (SignMark("0"), SignMark("+"), SignMark("-"))
@@ -450,8 +470,10 @@ class WidomRowlinsonModel(ScoreModel):
     def sample_mark(self, c: Configuration, i: int, g: np.random.Generator) -> OptMark:
         return SignMark(("0", "+", "-")[int(g.integers(0, 3))])
 
-    def affected_points(self, c: Configuration, changed: tuple[int, ...]) -> tuple[int, ...]:
-        return _graph_affected(c, changed)
+    def interaction_neighbors(self, c: Configuration) -> tuple[tuple[int, ...], ...]:
+        return c.derived(
+            "graph", lambda c: tuple(graph_neighbors(c.window, i) for i in range(c.n_points))
+        )
 
     def validate_for_window(self, window: Window) -> None:
         if window.kind != self.graph:
@@ -508,21 +530,9 @@ class AlohaModel(ScoreModel):
         if n and beta <= c.window.dim:
             raise ValidationError(f"aloha needs beta > dim, got beta={beta}, dim={c.window.dim}")
         probs = [_opt_mark(c, i, AccessProb).prob for i in range(n)]
-        # as aloha_score_at, with distances from receiver i in row i
         dist = torus_cross_distances(c.window, aloha_receivers(c), positions_array(c))
-        scores = []
-        for i in range(n):
-            acc = math.log(probs[i])
-            for j, d in enumerate(dist[i].tolist()):
-                if j == i:
-                    continue
-                x = probs[j] / (1.0 + d**beta)
-                if x >= 1.0:
-                    acc = NEG_INF
-                    break
-                acc += math.log1p(-x)
-            scores.append(acc)
-        return map(self._check, scores)
+        return [self._check(_aloha_log_throughput(probs, row.tolist(), i, beta))
+                for i, row in enumerate(dist)]
 
     def sample_mark(self, c: Configuration, i: int, g: np.random.Generator) -> OptMark:
         return AccessProb(1.0 - float(g.random()))
@@ -531,8 +541,7 @@ class AlohaModel(ScoreModel):
         self, c: Configuration, i: int, current: OptMark, g: np.random.Generator
     ) -> OptMark:
         if g.random() < 0.5:
-            p = current.prob + float(g.normal(0.0, 0.1))
-            p = abs(p)
+            p = abs(current.prob + float(g.normal(0.0, 0.1)))
             if p > 1.0:
                 p = 2.0 - p
             return AccessProb(min(1.0, max(1e-12, p)))
@@ -561,7 +570,6 @@ class CachingModel(ScoreModel):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", "caching")
-        object.__setattr__(self, "sign_regime", "nonneg")
         pop = tuple(float(p) for p in self.popularity)
         if self.reserve_neutral:
             # reserve k_items zero-popularity items at the top of the catalogue
@@ -601,18 +609,8 @@ class CachingModel(ScoreModel):
         picked = g.choice(self.n_items, size=self.k_items, replace=False)
         return ItemSet(tuple(sorted(int(k) + 1 for k in picked)))
 
-    def affected_points(self, c: Configuration, changed: tuple[int, ...]) -> tuple[int, ...]:
-        out = set(changed)
-        w = c.window
-        for i in changed:
-            r_i = c.points[i].base.radius
-            for j in range(c.n_points):
-                if j in out:
-                    continue
-                r_j = c.points[j].base.radius
-                if torus_distance(w, c.points[i].position, c.points[j].position) <= r_i + r_j + GEOM_TOL:
-                    out.add(j)
-        return tuple(sorted(out))
+    def interaction_neighbors(self, c: Configuration) -> list[tuple[int, ...]]:
+        return grain_contacts(c, closed=True)[0]
 
     def default_base_sampler(self, window: Window) -> BaseSampler:
         return grain_radius_sampler(self.radius_lo, self.radius_hi)

@@ -239,6 +239,13 @@ class TestExitCodes:
         assert main(["estimate", "--spec", path, "--out", str(tmp_path / "out")]) == 2
         assert f"error: oracle:{oracle} does not certify {kind}" in capsys.readouterr().err
 
+    def test_uncertified_oracle_is_2_without_replicates(self, tmp_path, capsys):
+        obj = dict(hardcore_spec(replicates=0), policies=["neutral", "oracle:aloha"])
+        out = tmp_path / "out"
+        assert main(["estimate", "--spec", write_spec(tmp_path, obj), "--out", str(out)]) == 2
+        assert "error: oracle:aloha does not certify hardcore" in capsys.readouterr().err
+        assert not (out / "estimate_summary.json").exists()
+
 
 class TestThreadResolution:
     def test_explicit_wins(self):
@@ -731,6 +738,31 @@ class TestEstimateReuse:
         calls.update(search=0, brute=0)
         fresh_estimate(tmp_path, spec_obj)
         assert calls == {"search": 5, "brute": 5}
+
+    def test_search_seed_edit_keeps_reuse(self, tmp_path, monkeypatch):
+        """search.seed changes no marking, so editing it alone leaves every
+        stored marking reused and every output byte unchanged."""
+        import markopt.estimate
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        search = markopt.estimate.local_search
+        monkeypatch.setattr(markopt.estimate, "local_search", counted)
+        spec_obj = brute_spec(replicates=5)
+        out = run_commands(tmp_path, spec_obj, tmp_path / "run", ["generate", "optimize", "exact"])
+        optimize_summary = (out / "optimize_summary.json").read_bytes()
+        run_commands(tmp_path, spec_obj, out, ["estimate"])
+        reused = estimate_outputs(out)
+        spec_obj["search"]["seed"] = 12345
+        calls.clear()
+        run_commands(tmp_path, spec_obj, out, ["estimate"], label="reseeded")
+        assert calls == []
+        assert estimate_outputs(out) == reused
+        assert (out / "optimize_summary.json").read_bytes() == optimize_summary
 
     def test_summaries_record_inputs(self, tmp_path):
         spec_obj = brute_spec()

@@ -1,12 +1,15 @@
 """Per-model score evaluators against hand-computed values."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markopt import models
 from markopt.core import (
+    GEOM_TOL,
     NEG_INF,
     AccessProb,
     ColorMark,
@@ -22,7 +25,12 @@ from markopt.core import (
     SignMark,
     ValidationError,
     WeightPair,
+    _replace_points,
+    dump_configuration,
+    grain_radius_sampler,
+    graph_neighbors,
     integer_line,
+    load_configuration,
     periodic_cube,
     receiver_offset_sampler,
     rng,
@@ -38,10 +46,14 @@ from markopt.models import (
     LilypondModel,
     MatchingModel,
     WidomRowlinsonModel,
+    _caching_score_1d,
     build_model,
     grain_volume,
+    hardcore_score_at,
+    lilypond_score_at,
     validate_marked_configuration,
 )
+from markopt.optimize import total_window_score
 
 
 def cube_points(window, entries, model_id):
@@ -611,3 +623,229 @@ def test_affected_points_contract(case, seed):
                 if repr(m.score_at(swapped, j)) != repr(m.score_at(config, j))
             }
             assert moved <= set(affected)
+
+
+# -- interaction graph --------------------------------------------------------
+
+
+def _scan_neighbors(c, closed):
+    """Grain contacts by a torus_distance double loop."""
+    w, pts = c.window, c.points
+    out = []
+    for i, p in enumerate(pts):
+        row = []
+        for j, q in enumerate(pts):
+            if j == i:
+                continue
+            d = torus_distance(w, p.position, q.position)
+            reach = p.base.radius + q.base.radius + GEOM_TOL
+            if (d <= reach) if closed else (d < reach):
+                row.append(j)
+        out.append(tuple(row))
+    return out
+
+
+def _old_hardcore_score_at(c, i):
+    """hardcore_score_at as an all-point scan."""
+    if not c.points[i].opt.keep:
+        return 0.0
+    p = c.points[i]
+    r_i = p.base.radius
+    for j, q in enumerate(c.points):
+        if j == i or not q.opt.keep:
+            continue
+        if torus_distance(c.window, p.position, q.position) < r_i + q.base.radius - GEOM_TOL:
+            return NEG_INF
+    return grain_volume(c.window.dim, r_i)
+
+
+def _old_caching_score_1d(c, i, popularity, items):
+    """_caching_score_1d as an all-point scan."""
+    side = c.window.side
+    x_i = c.points[i].position[0]
+    r_i = c.points[i].base.radius
+    ball_len = min(2.0 * r_i, side)
+    start = (x_i - r_i) % side
+    total = 0.0
+    for k in items:
+        pieces = []
+        cuts = {0.0, ball_len}
+        for q in c.points:
+            if k not in q.opt.items:
+                continue
+            r_j = q.base.radius
+            width = min(2.0 * r_j, side)
+            s = ((q.position[0] - r_j) - start) % side
+            for lo, hi in ((s, s + width), (s - side, s + width - side)):
+                lo, hi = max(lo, 0.0), min(hi, ball_len)
+                if hi > lo:
+                    pieces.append((lo, hi))
+                    cuts.add(lo)
+                    cuts.add(hi)
+        xs = sorted(cuts)
+        weight = popularity[k - 1]
+        for lo, hi in zip(xs, xs[1:]):
+            mid = 0.5 * (lo + hi)
+            n_k = sum(1 for plo, phi in pieces if plo <= mid <= phi)
+            if n_k:
+                total += weight * (hi - lo) / n_k
+    return total
+
+
+def _old_lilypond_score_at(c, i):
+    """lilypond_score_at with one torus_distance call per other point."""
+    r_i = c.points[i].opt.radius
+    if c.n_points == 1:
+        return 0.0
+    tightest = min(
+        max(0.5 * d, d - c.points[j].opt.radius)
+        for j in range(c.n_points)
+        if j != i
+        for d in [torus_distance(c.window, c.points[i].position, c.points[j].position)]
+    )
+    if r_i <= tightest + GEOM_TOL:
+        return r_i - tightest
+    return NEG_INF
+
+
+def _boundary_grains(dim, r_i=0.5, r_j=0.25):
+    """Grains at the origin and on the first axis at distances r_i + r_j and
+    within +-GEOM_TOL of it, exactly (r_i + r_j) + GEOM_TOL included."""
+    reach = r_i + r_j + GEOM_TOL
+    gaps = [r_i + r_j, reach, math.nextafter(reach, 0.0), math.nextafter(reach, 1.0),
+            r_i + r_j - GEOM_TOL, r_i + r_j + 2 * GEOM_TOL]
+    configs = []
+    for gap in gaps:
+        pts = (
+            MarkedPoint((0.0,) * dim, GrainRadius(r_i)),
+            MarkedPoint((gap,) + (0.0,) * (dim - 1), GrainRadius(r_j)),
+        )
+        configs.append(Configuration(periodic_cube(dim, 10.0), "hardcore", pts))
+    return configs
+
+
+def _grain_cases(dim):
+    """Configurations of 0, 1 and 2 grains, boundary pairs and dense draws."""
+    w = periodic_cube(dim, 3.0)
+    sampler = grain_radius_sampler(0.1, 0.6)
+    cases = [Configuration(w, "hardcore", ())]
+    cases.append(Configuration(w, "hardcore", (MarkedPoint((1.0,) * dim, GrainRadius(0.4)),)))
+    cases.append(
+        Configuration(
+            w,
+            "hardcore",
+            (
+                MarkedPoint((1.0,) * dim, GrainRadius(0.4)),
+                MarkedPoint((2.5,) * dim, GrainRadius(0.3)),
+            ),
+        )
+    )
+    cases += _boundary_grains(dim)
+    for seed in range(4):
+        cases.append(sample_poisson_configuration(w, 3.0 if dim == 1 else 2.0, "hardcore", sampler, seed))
+    return cases
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("m", [HardcoreModel(), CachingModel()], ids=["hardcore", "caching"])
+def test_interaction_neighbors_match_scalar_scan(m, dim):
+    closed = m.kind == "caching"
+    for c in _grain_cases(dim):
+        assert list(m.interaction_neighbors(c)) == _scan_neighbors(c, closed)
+
+
+def test_boundary_grains_split_open_and_closed_range():
+    for dim in (1, 2):
+        at_reach = _boundary_grains(dim)[1]
+        assert list(HardcoreModel().interaction_neighbors(at_reach)) == [(), ()]
+        assert list(CachingModel().interaction_neighbors(at_reach)) == [(1,), (0,)]
+
+
+def test_interaction_neighbors_across_blocks(monkeypatch):
+    """Blocks of a few rows give the graph of one block."""
+    w = periodic_cube(2, 3.0)
+    c = sample_poisson_configuration(w, 4.0, "hardcore", grain_radius_sampler(0.1, 0.5), 3)
+    assert c.n_points > 20
+    whole = list(HardcoreModel().interaction_neighbors(c))
+    monkeypatch.setattr(models, "_CONTACT_BLOCK", 2 * c.n_points + 1)
+    fresh = Configuration(c.window, c.model_id, c.points)
+    assert list(HardcoreModel().interaction_neighbors(fresh)) == whole == _scan_neighbors(c, False)
+
+
+def test_graph_models_read_graph_neighbors():
+    m = WidomRowlinsonModel(graph="tree")
+    c = sample_weighted_tree(2, 1)
+    assert m.interaction_neighbors(c) == tuple(graph_neighbors(c.window, i) for i in range(10))
+    assert LilypondModel().interaction_neighbors(dense_case("lilypond", 2, 5, 0)) is None
+    assert AlohaModel().interaction_neighbors(dense_case("aloha", 2, 5, 0)) is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_hardcore_score_matches_all_point_scan(dim, seed):
+    g = rng(seed, 31)
+    for c in _grain_cases(dim):
+        marked = c.with_opt_marks({i: Retain(bool(g.integers(0, 4))) for i in range(c.n_points)})
+        for i in range(c.n_points):
+            assert repr(hardcore_score_at(marked, i)) == repr(_old_hardcore_score_at(marked, i))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_caching_1d_score_matches_all_point_scan(seed):
+    m = CachingModel(popularity=(0.4, 0.3, 0.2, 0.1), k_items=2)
+    g = rng(seed, 32)
+    for c in _grain_cases(1):
+        marked = c.with_opt_marks({i: m.sample_mark(c, i, g) for i in range(c.n_points)})
+        for i in range(c.n_points):
+            items = marked.points[i].opt.items
+            assert repr(_caching_score_1d(marked, i, m.popularity, items)) == repr(
+                _old_caching_score_1d(marked, i, m.popularity, items)
+            )
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [1, 2, 7, 25])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lilypond_score_matches_scalar_distances(dim, n, seed):
+    c = dense_case("lilypond", dim, n, seed)
+    for i in range(n):
+        assert repr(lilypond_score_at(c, i)) == repr(_old_lilypond_score_at(c, i))
+
+
+def test_derived_cache_follows_positions_and_base_marks(tmp_path):
+    c = sample_poisson_configuration(
+        periodic_cube(2, 3.0), 2.0, "hardcore", grain_radius_sampler(0.1, 0.5), 4
+    )
+    builds = []
+
+    def probe(config):
+        builds.append(config)
+        return len(builds)
+
+    assert c.derived("probe", probe) == 1
+    marked = c.with_opt_marks({0: Retain(True)})
+    view = _replace_points(marked, list(marked.points))
+    assert marked.derived("probe", probe) == view.derived("probe", probe) == 1
+    assert HardcoreModel().interaction_neighbors(view) is HardcoreModel().interaction_neighbors(c)
+    path = str(tmp_path / "c.json")
+    dump_configuration(marked, path)
+    others = [
+        load_configuration(path),
+        Configuration(c.window, c.model_id, c.points),
+        dataclasses.replace(c),
+    ]
+    for k, other in enumerate(others, start=2):
+        assert other.derived("probe", probe) == k
+    # the cache is no field: equality and repr ignore it
+    assert others[1] == c and repr(others[1]) == repr(c)
+    assert others[0] == marked
+
+
+def test_hardcore_score_reads_only_contact_marks():
+    """A grain far from every other scores without their marks; the window
+    total still refuses a partly marked window."""
+    c = hardcore_config([(1.0, 0.5, True), (10.0, 0.5, True)])
+    partial = c.with_opt_marks({1: None})
+    assert HardcoreModel().score_at(partial, 0) == 1.0
+    with pytest.raises(MarkSpaceError):
+        total_window_score(partial, HardcoreModel())
