@@ -2,21 +2,22 @@
 
 Times one exhaustive ``k_max = 1`` local search on 2-d hard-core grains with
 radii U(0.2, 0.6) at unit intensity, at n of about 80, 800 and 2500 points.
-For each size it records the median over ``--repeats`` runs of the total and
+For each size it records the median over three runs of the total and
 per-round time (a round is one swap scan, so the final scan that finds no
 swap counts too), the time to build the model's interaction graph on a fresh
-configuration, and ``swap_evaluations``.  With ``--rss-n`` it also builds the
-interaction graph of a configuration of about that many points in a child
-process and records the child's peak RSS and the tracemalloc peak of the
-build, next to the size of an n x n float matrix.
+configuration, and ``swap_evaluations``.  When the model has an
+``interaction_neighbors`` hook, it also builds the interaction graph of a
+configuration of about 8000 points in a fresh child process and records the
+child's peak RSS and the tracemalloc peak of the build, next to the size of
+an n x n float matrix.
 
 It reads markopt only through its public API, so it runs against any markopt
-source tree on PYTHONPATH.  Results go under ``--label`` into the JSON file
-``--out``; the entries of other labels in that file are kept, so one file
-can hold the figures of two trees:
+source tree on PYTHONPATH.  Results go under ``--label`` into
+BENCH_interaction_graph.json in the working directory; the entries of other
+labels in that file are kept, so one file can hold the figures of two trees:
 
     PYTHONPATH=<parent>/src python3 scripts/search_sweep.py --label parent
-    PYTHONPATH=src python3 scripts/search_sweep.py --label change --rss-n 8000
+    PYTHONPATH=src python3 scripts/search_sweep.py --label change
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import platform
 import resource
 import statistics
-import subprocess
-import sys
 import time
 import tracemalloc
 
@@ -42,6 +42,10 @@ from markopt.optimize import SearchParams, local_search
 
 MODEL = HardcoreModel(radius_lo=0.2, radius_hi=0.6)
 SEED = 1
+SIZES = (80, 800, 2500)
+REPEATS = 3
+RSS_N = 8000
+OUT = "BENCH_interaction_graph.json"
 
 
 def grains(n: int) -> Configuration:
@@ -61,10 +65,10 @@ def graph_build_s(c: Configuration) -> float | None:
     return time.perf_counter() - start
 
 
-def search_point(n: int, repeats: int) -> dict:
+def search_point(n: int) -> dict:
     params = SearchParams(k_max=1, mode="exhaustive")
     totals, builds = [], []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         c = grains(n)
         start = time.perf_counter()
         _, trace = local_search(c, MODEL, params)
@@ -83,7 +87,7 @@ def search_point(n: int, repeats: int) -> dict:
     }
 
 
-def rss_child(n: int) -> dict:
+def graph_build_rss(n: int) -> dict:
     """Peak figures of one interaction-graph build, in this process."""
     c = grains(n)
     before_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -107,34 +111,24 @@ def rss_child(n: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this tree's results")
-    parser.add_argument("--out", default="BENCH_interaction_graph.json")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[80, 800, 2500])
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--rss-n", type=int, default=None, help="graph build size for peak RSS")
-    parser.add_argument("--rss-child", type=int, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.rss_child is not None:
-        print(json.dumps(rss_child(args.rss_child)))
-        return
     entry = {
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "repeats": args.repeats,
-        "search": [search_point(n, args.repeats) for n in args.sizes],
+        "repeats": REPEATS,
+        "search": [search_point(n) for n in SIZES],
     }
-    if args.rss_n is not None:
-        child = subprocess.run(
-            [sys.executable, __file__, "--label", args.label, "--rss-child", str(args.rss_n)],
-            check=True, capture_output=True, text=True,
-        )
-        entry["graph_build_rss"] = json.loads(child.stdout)
+    if hasattr(MODEL, "interaction_neighbors"):
+        # a fresh interpreter, so the peak RSS is the build's and not the sweep's
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            entry["graph_build_rss"] = pool.apply(graph_build_rss, (RSS_N,))
     results = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
+    if os.path.exists(OUT):
+        with open(OUT) as fh:
             results = json.load(fh)
     results[args.label] = entry
-    with open(args.out, "w") as fh:
+    with open(OUT, "w") as fh:
         json.dump(results, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for point in entry["search"]:

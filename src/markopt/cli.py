@@ -425,7 +425,10 @@ def main(argv: list[str] | None = None) -> int:
             "estimate": cmd_estimate,
         }[args.command]
         return handler(spec, args.out, seed, threads)
-    except (ValidationError, UnsupportedModelError) as err:
+    except ValidationError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except UnsupportedModelError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except WorkCapError as err:

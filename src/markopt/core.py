@@ -138,7 +138,11 @@ class Window:
     @property
     def volume(self) -> float:
         """Lebesgue volume of the cube, or the number of sites of a graph window."""
-        return self.side**self.dim if self.kind == "cube" else float(self.site_count)
+        if self.kind == "cube":
+            return self.side**self.dim
+        if self.kind == "line":
+            return float(self.n_sites)
+        return float(tree_vertex_count(self.depth))
 
     @property
     def site_count(self) -> int:
@@ -212,7 +216,8 @@ def graph_neighbors(window: Window, site: int) -> tuple[int, ...]:
             nbrs.append(site + 1)
         return tuple(nbrs)
     if window.kind == "tree":
-        return tree_structure(window.depth)[0][site]
+        adjacency, _ = tree_structure(window.depth)
+        return adjacency[site]
     raise ValidationError("cube windows have no graph neighbors")
 
 
@@ -227,7 +232,13 @@ def torus_delta(window: Window, x: Sequence[float], y: Sequence[float]) -> tuple
     if len(x) != window.dim or len(y) != window.dim:
         raise ValidationError("position dimension mismatch")
     side = window.side
-    return tuple(min(d, side - d) for d in (abs(a - b) for a, b in zip(x, y)))
+    out = []
+    for a, b in zip(x, y):
+        d = abs(a - b)
+        if d > side - d:
+            d = side - d
+        out.append(d)
+    return tuple(out)
 
 
 def torus_distance(window: Window, x: Sequence[float], y: Sequence[float]) -> float:
@@ -430,7 +441,9 @@ def positions_array(c: Configuration) -> np.ndarray:
     """(n, dim) float array of cube positions."""
     if c.window.kind != "cube":
         raise ValidationError("positions_array requires a cube window")
-    return np.array([p.position for p in c.points], dtype=float).reshape(-1, c.window.dim)
+    if c.n_points == 0:
+        return np.zeros((0, c.window.dim))
+    return np.array([p.position for p in c.points], dtype=float)
 
 
 def _wrapped_deltas(window: Window, a: np.ndarray, b: np.ndarray):
@@ -556,25 +569,25 @@ def sample_poisson_configuration(
     return Configuration(window, model_id, tuple(points))
 
 
-def _sample_weighted(window: Window, model_id: str, seed: int, stream, lo, hi) -> Configuration:
-    g = rng(seed, *stream)
-    sampler = weight_pair_sampler(lo, hi)
-    points = tuple(MarkedPoint(position=i, base=sampler(g)) for i in range(window.site_count))
-    return Configuration(window, model_id, points)
-
-
 def sample_weighted_line(
     n_sites: int, seed: int, *stream: int, lo: float = 0.0, hi: float = 1.0
 ) -> Configuration:
     """Integer line with one point per site and iid uniform weight pairs."""
-    return _sample_weighted(integer_line(n_sites), "wr_line", seed, stream, lo, hi)
+    g = rng(seed, *stream)
+    sampler = weight_pair_sampler(lo, hi)
+    points = tuple(MarkedPoint(position=i, base=sampler(g)) for i in range(n_sites))
+    return Configuration(integer_line(n_sites), "wr_line", points)
 
 
 def sample_weighted_tree(
     depth: int, seed: int, *stream: int, lo: float = 0.0, hi: float = 1.0
 ) -> Configuration:
     """Tree ball with one point per vertex and iid uniform weight pairs."""
-    return _sample_weighted(tree_ball(depth), "wr_tree", seed, stream, lo, hi)
+    g = rng(seed, *stream)
+    sampler = weight_pair_sampler(lo, hi)
+    count = tree_vertex_count(depth)
+    points = tuple(MarkedPoint(position=i, base=sampler(g)) for i in range(count))
+    return Configuration(tree_ball(depth), "wr_tree", points)
 
 
 # ---------------------------------------------------------------------------

@@ -322,10 +322,17 @@ def hardcore_stab_radii_all(c: Configuration) -> np.ndarray:
     """Per-point influence range of retention decisions: twice the farthest
     sup-norm distance over grains that can overlap the point's own grain.
     Depends on positions and grain radii only, never on retention marks."""
-    radii = np.array([_base_mark(c, i, GrainRadius).radius for i in range(c.n_points)])
-    capable = pairwise_torus_distances(c) < (radii[:, None] + radii[None, :]) - GEOM_TOL
+    n = c.n_points
+    if n == 0:
+        return np.zeros(0)
+    radii = np.array([_base_mark(c, i, GrainRadius).radius for i in range(n)])
+    if n == 1:
+        return np.zeros(1)
+    d = pairwise_torus_distances(c)
+    linf = pairwise_torus_linf(c)
+    capable = d < (radii[:, None] + radii[None, :]) - GEOM_TOL
     np.fill_diagonal(capable, False)
-    return np.where(capable, 2.0 * pairwise_torus_linf(c), 0.0).max(axis=1, initial=0.0)
+    return np.where(capable, 2.0 * linf, 0.0).max(axis=1)
 
 
 def _tail_radius(candidates: np.ndarray, terms: np.ndarray, epsilon: float) -> float:
@@ -522,9 +529,15 @@ class CampbellCheck:
 
 
 def _retained_grains(c: Configuration) -> tuple[np.ndarray, np.ndarray]:
-    keep = [i for i in range(c.n_points) if _opt_mark(c, i, Retain).keep]
-    radii = np.array([_base_mark(c, i, GrainRadius).radius for i in keep], dtype=float)
-    return positions_array(c)[keep], radii
+    keep = []
+    for i in range(c.n_points):
+        if _opt_mark(c, i, Retain).keep:
+            keep.append((c.points[i].position, _base_mark(c, i, GrainRadius).radius))
+    if not keep:
+        return np.zeros((0, c.window.dim)), np.zeros(0)
+    pos = np.array([k[0] for k in keep])
+    radii = np.array([k[1] for k in keep])
+    return pos, radii
 
 
 def _interval_union_fraction(side: float, centers: np.ndarray, radii: np.ndarray) -> float:

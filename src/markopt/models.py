@@ -140,9 +140,7 @@ def hardcore_score_at(c: Configuration, i: int) -> float:
 # Widom-Rowlinson on graphs
 
 
-def wr_score_at(c: Configuration, i: int) -> float:
-    """Sign 0 scores 0, signs +/- score their weight unless a graph neighbor
-    carries the opposite sign, which is inadmissible."""
+def _wr_score_at(c: Configuration, i: int) -> float:
     sign = _opt_mark(c, i, SignMark).sign
     if sign == "0":
         return 0.0
@@ -152,6 +150,20 @@ def wr_score_at(c: Configuration, i: int) -> float:
             return NEG_INF
     weights = _base_mark(c, i, WeightPair)
     return weights.w_plus if sign == "+" else weights.w_minus
+
+
+def wr_line_score_at(c: Configuration, i: int) -> float:
+    """Sign 0 scores 0, signs +/- score their weight unless a line neighbor
+    carries the opposite sign, which is inadmissible."""
+    if c.window.kind != "line":
+        raise ValidationError("wr_line_score_at needs a line window")
+    return _wr_score_at(c, i)
+
+
+def wr_tree_score_at(c: Configuration, i: int) -> float:
+    if c.window.kind != "tree":
+        raise ValidationError("wr_tree_score_at needs a tree window")
+    return _wr_score_at(c, i)
 
 
 # ---------------------------------------------------------------------------
@@ -196,28 +208,24 @@ def aloha_receivers(c: Configuration) -> np.ndarray:
     return np.array([aloha_receiver(c, i) for i in range(c.n_points)]).reshape(-1, c.window.dim)
 
 
-def _aloha_log_throughput(probs: list[float], dist: list[float], i: int, beta: float) -> float:
-    """Own log access probability plus the log success factors of all
-    interferers j at distance dist[j] from i's receiver."""
-    acc = math.log(probs[i])
-    for j, d in enumerate(dist):
-        if j == i:
-            continue
-        x = probs[j] / (1.0 + d**beta)
-        if x >= 1.0:
-            return NEG_INF
-        acc += math.log1p(-x)
-    return acc
-
-
 def aloha_score_at(c: Configuration, i: int, beta: float) -> float:
     """Log throughput of link i: own log access probability plus the log
     success factors of all interferers at i's receiver."""
     if beta <= c.window.dim:
         raise ValidationError(f"aloha needs beta > dim, got beta={beta}, dim={c.window.dim}")
-    probs = [_opt_mark(c, j, AccessProb).prob for j in range(c.n_points)]
-    dist = torus_cross_distances(c.window, np.array([aloha_receiver(c, i)]), positions_array(c))
-    return _aloha_log_throughput(probs, dist[0].tolist(), i, beta)
+    p_i = _opt_mark(c, i, AccessProb).prob
+    receiver = aloha_receiver(c, i)
+    acc = math.log(p_i)
+    for j in range(c.n_points):
+        if j == i:
+            continue
+        p_j = _opt_mark(c, j, AccessProb).prob
+        d = torus_distance(c.window, c.points[j].position, receiver)
+        x = p_j / (1.0 + d**beta)
+        if x >= 1.0:
+            return NEG_INF
+        acc += math.log1p(-x)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +432,7 @@ class HardcoreModel(ScoreModel):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", "hardcore")
+        object.__setattr__(self, "sign_regime", "nonneg")
 
     def score_at(self, c: Configuration, i: int) -> float:
         return hardcore_score_at(c, i)
@@ -458,11 +467,10 @@ class WidomRowlinsonModel(ScoreModel):
         if self.graph not in ("line", "tree"):
             raise ValidationError(f"graph must be line or tree, got {self.graph!r}")
         object.__setattr__(self, "kind", f"wr_{self.graph}")
+        object.__setattr__(self, "sign_regime", "nonneg")
 
     def score_at(self, c: Configuration, i: int) -> float:
-        if c.window.kind != self.graph:
-            raise ValidationError(f"{self.kind} needs a {self.graph} window")
-        return wr_score_at(c, i)
+        return wr_line_score_at(c, i) if self.graph == "line" else wr_tree_score_at(c, i)
 
     def mark_candidates(self, c: Configuration, i: int) -> tuple[OptMark, ...]:
         return (SignMark("0"), SignMark("+"), SignMark("-"))
@@ -530,9 +538,21 @@ class AlohaModel(ScoreModel):
         if n and beta <= c.window.dim:
             raise ValidationError(f"aloha needs beta > dim, got beta={beta}, dim={c.window.dim}")
         probs = [_opt_mark(c, i, AccessProb).prob for i in range(n)]
+        # as aloha_score_at, with distances from receiver i in row i
         dist = torus_cross_distances(c.window, aloha_receivers(c), positions_array(c))
-        return [self._check(_aloha_log_throughput(probs, row.tolist(), i, beta))
-                for i, row in enumerate(dist)]
+        scores = []
+        for i in range(n):
+            acc = math.log(probs[i])
+            for j, d in enumerate(dist[i].tolist()):
+                if j == i:
+                    continue
+                x = probs[j] / (1.0 + d**beta)
+                if x >= 1.0:
+                    acc = NEG_INF
+                    break
+                acc += math.log1p(-x)
+            scores.append(acc)
+        return map(self._check, scores)
 
     def sample_mark(self, c: Configuration, i: int, g: np.random.Generator) -> OptMark:
         return AccessProb(1.0 - float(g.random()))
@@ -541,7 +561,8 @@ class AlohaModel(ScoreModel):
         self, c: Configuration, i: int, current: OptMark, g: np.random.Generator
     ) -> OptMark:
         if g.random() < 0.5:
-            p = abs(current.prob + float(g.normal(0.0, 0.1)))
+            p = current.prob + float(g.normal(0.0, 0.1))
+            p = abs(p)
             if p > 1.0:
                 p = 2.0 - p
             return AccessProb(min(1.0, max(1e-12, p)))
@@ -570,6 +591,7 @@ class CachingModel(ScoreModel):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", "caching")
+        object.__setattr__(self, "sign_regime", "nonneg")
         pop = tuple(float(p) for p in self.popularity)
         if self.reserve_neutral:
             # reserve k_items zero-popularity items at the top of the catalogue
