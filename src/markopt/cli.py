@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import exact
 from .core import (
@@ -46,7 +46,7 @@ from .estimate import (
     write_json,
     write_results_csv,
 )
-from .models import MODEL_KINDS, ScoreModel, build_model
+from .models import ScoreModel, build_model
 from .optimize import SearchParams
 
 @dataclass
@@ -82,12 +82,9 @@ def load_experiment_spec(path: str) -> ExperimentSpec:
     model_obj = obj.get("model")
     if not isinstance(model_obj, dict) or "kind" not in model_obj:
         raise ValidationError("spec needs a model object with a kind")
-    kind = model_obj["kind"]
-    if kind not in MODEL_KINDS:
-        raise ValidationError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
     params = {k: v for k, v in model_obj.items() if k != "kind"}
     try:
-        model = build_model(kind, **params)
+        model = build_model(model_obj["kind"], **params)
     except TypeError as err:
         raise ValidationError(f"bad model parameters: {err}")
     model.validate_for_window(window)
@@ -115,22 +112,11 @@ def load_experiment_spec(path: str) -> ExperimentSpec:
     return ExperimentSpec(name, window, model, intensity, policies, search, replicates, seed)
 
 
-def _model_manifest(model: ScoreModel) -> dict:
-    out = {"kind": model.kind}
-    for f in fields(model):
-        if f.name in ("kind", "sign_regime"):
-            continue
-        value = getattr(model, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
-    return out
-
-
 def _inputs(spec: ExperimentSpec, seed: int, search: SearchParams | None = None) -> dict:
     """What a command computed from, as its summary or manifest reads it back;
     optimize also records its search parameters."""
-    obj = {"window": window_to_json(spec.window), "model": _model_manifest(spec.model),
+    model = {"kind": spec.model.kind, **asdict(spec.model)}
+    obj = {"window": window_to_json(spec.window), "model": model,
            "intensity": spec.intensity, "seed": seed}
     if search is not None:
         obj["search"] = asdict(search)
@@ -168,36 +154,50 @@ def cmd_generate(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) ->
     return 0
 
 
-def cmd_optimize(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) -> int:
-    os.makedirs(os.path.join(out_dir, "marked"), exist_ok=True)
-    summary_path = os.path.join(out_dir, "optimize_summary.json")
+# command -> (folder of its markings, list key of its summary, results file, policy label)
+_STAGES = {
+    "optimize": ("marked", "traces", "results.csv", "local-search"),
+    "exact": ("exact", "solutions", "results_exact.csv", "exact"),
+}
+
+
+def _mark_replicates(spec: ExperimentSpec, out_dir: str, seed: int, threads: int,
+                     command: str, mark) -> list[tuple[ReplicateRecord, dict]]:
+    """The stage that optimize and exact share: delete the stale summary, then
+    load, mark, dump and score each replicate, and write the results file.
+    mark(c, k) returns the marking of replicate k and its summary entry."""
+    folder, _, results_name, label = _STAGES[command]
+    os.makedirs(os.path.join(out_dir, folder), exist_ok=True)
     with contextlib.suppress(FileNotFoundError):
-        os.remove(summary_path)  # a summary must not outlive a run that fails halfway
+        # a summary must not outlive a run that fails halfway
+        os.remove(os.path.join(out_dir, f"{command}_summary.json"))
 
     def worker(k: int):
         start = time.perf_counter()
-        c = _load_replicate_config(out_dir, spec, k)
-        final, trace = search_replicate(c, spec.model, spec.search, seed, k)
-        dump_configuration(final, _rep_path(out_dir, "marked", k))
-        record = scored_record(final, spec.model, k, seed, start)
-        info = {
-            "replicate": k,
-            "certificate": trace.certificate,
-            "rounds": len(trace.steps),
-            "swap_evaluations": trace.swap_evaluations,
-            "initial_total": trace.initial_total,
-            "final_total": record.total_score,
-        }
-        return record, info
+        marked, info = mark(_load_replicate_config(out_dir, spec, k), k)
+        dump_configuration(marked, _rep_path(out_dir, folder, k))
+        return scored_record(marked, spec.model, k, seed, start), {"replicate": k, **info}
 
     results = map_replicates(worker, spec.replicates, threads)
-    rows = [record_to_row(spec.name, "local-search", rec) for rec, _ in results]
-    write_results_csv(os.path.join(out_dir, "results.csv"), rows)
+    rows = [record_to_row(spec.name, label, rec) for rec, _ in results]
+    write_results_csv(os.path.join(out_dir, results_name), rows)
+    return results
+
+
+def cmd_optimize(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) -> int:
+    def mark(c: Configuration, k: int) -> tuple[Configuration, dict]:
+        final, trace = search_replicate(c, spec.model, spec.search, seed, k)
+        return final, {"certificate": trace.certificate, "rounds": len(trace.steps),
+                       "swap_evaluations": trace.swap_evaluations,
+                       "initial_total": trace.initial_total}
+
+    results = _mark_replicates(spec, out_dir, seed, threads, "optimize", mark)
     certificates: dict[str, int] = {}
-    for _, info in results:
+    for record, info in results:
+        info["final_total"] = record.total_score
         certificates[info["certificate"]] = certificates.get(info["certificate"], 0) + 1
     write_json(
-        summary_path,
+        os.path.join(out_dir, "optimize_summary.json"),
         {
             "certificates": certificates,
             "traces": [info for _, info in results],
@@ -213,7 +213,7 @@ def exact_marking(c: Configuration, model: ScoreModel) -> tuple[Configuration, d
     """Best available certified marking for one configuration: the model's own
     oracle, or brute force for the finite mark spaces, and the sign-chain
     program for a wr_line chain too long to enumerate."""
-    oracle = model.kind if model.kind in ("lilypond", "aloha", "matching") else "brute"
+    oracle = model.kind if model.kind in exact.ROUTES else "brute"
     try:
         return exact.oracle_marking(c, model, oracle, work_cap=10**6)
     except WorkCapError:
@@ -223,23 +223,11 @@ def exact_marking(c: Configuration, model: ScoreModel) -> tuple[Configuration, d
 
 
 def cmd_exact(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) -> int:
-    os.makedirs(os.path.join(out_dir, "exact"), exist_ok=True)
-    summary_path = os.path.join(out_dir, "exact_summary.json")
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(summary_path)  # a summary must not outlive a run that fails halfway
-
-    def worker(k: int):
-        start = time.perf_counter()
-        c = _load_replicate_config(out_dir, spec, k)
-        marked, info = exact_marking(c, spec.model)
-        dump_configuration(marked, _rep_path(out_dir, "exact", k))
-        return scored_record(marked, spec.model, k, seed, start), {"replicate": k, **info}
-
-    results = map_replicates(worker, spec.replicates, threads)
-    rows = [record_to_row(spec.name, "exact", rec) for rec, _ in results]
-    write_results_csv(os.path.join(out_dir, "results_exact.csv"), rows)
+    results = _mark_replicates(
+        spec, out_dir, seed, threads, "exact", lambda c, k: exact_marking(c, spec.model)
+    )
     write_json(
-        summary_path,
+        os.path.join(out_dir, "exact_summary.json"),
         {"solutions": [info for _, info in results], "inputs": _inputs(spec, seed)},
     )
     write_manifest(out_dir, spec, seed)
@@ -257,14 +245,14 @@ def _stored_markings(out_dir: str, spec: ExperimentSpec, seed: int, policy: Poli
     """Replicate -> file in out_dir holding policy's marking of it, for each replicate whose
     summary records the same inputs and, for an oracle, the route that the oracle runs."""
     if policy.name == "local-search":
-        name, folder, key = "optimize_summary.json", "marked", "traces"
-        inputs = _inputs(spec, seed, policy.search)
+        command, inputs = "optimize", _inputs(spec, seed, policy.search)
     elif policy.name == "oracle":
-        name, folder, key, inputs = "exact_summary.json", "exact", "solutions", _inputs(spec, seed)
+        command, inputs = "exact", _inputs(spec, seed)
     else:
         return {}
+    folder, key = _STAGES[command][:2]
     try:
-        with open(os.path.join(out_dir, name)) as fh:
+        with open(os.path.join(out_dir, f"{command}_summary.json")) as fh:
             summary = json.load(fh)
     except (OSError, ValueError):
         return {}
@@ -425,10 +413,7 @@ def main(argv: list[str] | None = None) -> int:
             "estimate": cmd_estimate,
         }[args.command]
         return handler(spec, args.out, seed, threads)
-    except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except UnsupportedModelError as err:
+    except (ValidationError, UnsupportedModelError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except WorkCapError as err:

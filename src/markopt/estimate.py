@@ -35,7 +35,6 @@ from .core import (
     _replace_points,
     is_admissible,
     load_configuration,
-    pairwise_torus_distances,
     pairwise_torus_linf,
     positions_array,
     rng,
@@ -52,6 +51,7 @@ from .models import (
     WidomRowlinsonModel,
     aloha_receiver,
     aloha_receivers,
+    grain_contacts,
     _base_mark,
     _opt_mark,
 )
@@ -322,17 +322,15 @@ def hardcore_stab_radii_all(c: Configuration) -> np.ndarray:
     """Per-point influence range of retention decisions: twice the farthest
     sup-norm distance over grains that can overlap the point's own grain.
     Depends on positions and grain radii only, never on retention marks."""
-    n = c.n_points
-    if n == 0:
-        return np.zeros(0)
-    radii = np.array([_base_mark(c, i, GrainRadius).radius for i in range(n)])
-    if n == 1:
-        return np.zeros(1)
-    d = pairwise_torus_distances(c)
-    linf = pairwise_torus_linf(c)
-    capable = d < (radii[:, None] + radii[None, :]) - GEOM_TOL
-    np.fill_diagonal(capable, False)
-    return np.where(capable, 2.0 * linf, 0.0).max(axis=1)
+    out = np.zeros(c.n_points)
+    for i, (neighbors, distances) in enumerate(zip(*grain_contacts(c, closed=False))):
+        p = c.points[i]
+        for j, d in zip(neighbors, distances):
+            q = c.points[j]
+            if d < p.base.radius + q.base.radius - GEOM_TOL:
+                linf = torus_distance_linf(c.window, p.position, q.position)
+                out[i] = max(out[i], 2.0 * linf)
+    return out
 
 
 def _tail_radius(candidates: np.ndarray, terms: np.ndarray, epsilon: float) -> float:

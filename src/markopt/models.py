@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -137,36 +137,6 @@ def hardcore_score_at(c: Configuration, i: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Widom-Rowlinson on graphs
-
-
-def _wr_score_at(c: Configuration, i: int) -> float:
-    sign = _opt_mark(c, i, SignMark).sign
-    if sign == "0":
-        return 0.0
-    opposite = "-" if sign == "+" else "+"
-    for j in graph_neighbors(c.window, i):
-        if _opt_mark(c, j, SignMark).sign == opposite:
-            return NEG_INF
-    weights = _base_mark(c, i, WeightPair)
-    return weights.w_plus if sign == "+" else weights.w_minus
-
-
-def wr_line_score_at(c: Configuration, i: int) -> float:
-    """Sign 0 scores 0, signs +/- score their weight unless a line neighbor
-    carries the opposite sign, which is inadmissible."""
-    if c.window.kind != "line":
-        raise ValidationError("wr_line_score_at needs a line window")
-    return _wr_score_at(c, i)
-
-
-def wr_tree_score_at(c: Configuration, i: int) -> float:
-    if c.window.kind != "tree":
-        raise ValidationError("wr_tree_score_at needs a tree window")
-    return _wr_score_at(c, i)
-
-
-# ---------------------------------------------------------------------------
 # lilypond growth
 
 
@@ -208,56 +178,8 @@ def aloha_receivers(c: Configuration) -> np.ndarray:
     return np.array([aloha_receiver(c, i) for i in range(c.n_points)]).reshape(-1, c.window.dim)
 
 
-def aloha_score_at(c: Configuration, i: int, beta: float) -> float:
-    """Log throughput of link i: own log access probability plus the log
-    success factors of all interferers at i's receiver."""
-    if beta <= c.window.dim:
-        raise ValidationError(f"aloha needs beta > dim, got beta={beta}, dim={c.window.dim}")
-    p_i = _opt_mark(c, i, AccessProb).prob
-    receiver = aloha_receiver(c, i)
-    acc = math.log(p_i)
-    for j in range(c.n_points):
-        if j == i:
-            continue
-        p_j = _opt_mark(c, j, AccessProb).prob
-        d = torus_distance(c.window, c.points[j].position, receiver)
-        x = p_j / (1.0 + d**beta)
-        if x >= 1.0:
-            return NEG_INF
-        acc += math.log1p(-x)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # caching
-
-
-def caching_score_at(
-    c: Configuration,
-    i: int,
-    popularity: tuple[float, ...],
-    k_items: int,
-    resolution: float | None = None,
-) -> float:
-    """Popularity-weighted coverage of cache i's ball, where every covered
-    location splits each stored item's credit evenly among the caches that
-    hold it there.
-
-    Exact interval sweep in dimension 1; grid quadrature at the given
-    resolution (default: smallest grain radius / 20) in dimension 2.
-    """
-    items = _opt_mark(c, i, ItemSet).items
-    if len(items) != k_items:
-        raise MarkSpaceError(f"point {i} stores {len(items)} items, model needs {k_items}")
-    n_items = len(popularity)
-    if items and items[-1] > n_items:
-        raise MarkSpaceError(f"point {i} stores item {items[-1]} > catalogue size {n_items}")
-    _base_mark(c, i, GrainRadius)
-    if c.window.dim == 1:
-        return _caching_score_1d(c, i, popularity, items)
-    if c.window.dim == 2:
-        return _caching_score_2d(c, i, popularity, items, resolution)
-    raise ValidationError(f"caching supports dim 1 or 2, got {c.window.dim}")
 
 
 def _caching_score_1d(
@@ -306,46 +228,27 @@ def _caching_score_2d(
     resolution: float | None,
 ) -> float:
     side = c.window.side
-    radii = np.array([_base_mark(c, j, GrainRadius).radius for j in range(c.n_points)])
+    # only i and its grain contacts can cover part of i's ball
+    near = [i, *grain_contacts(c, closed=True)[0][i]]
     if resolution is None:
-        resolution = float(radii.min()) / 20.0
+        resolution = min(p.base.radius for p in c.points) / 20.0
+    radii = np.array([c.points[j].base.radius for j in near])
     x_i = np.asarray(c.points[i].position)
-    r_i = radii[i]
+    r_i = radii[0]
     m = max(1, math.ceil(2.0 * r_i / resolution))
     axis = x_i[None, :] - r_i + (np.arange(m)[:, None] + 0.5) * resolution
     gx, gy = np.meshgrid(axis[:, 0], axis[:, 1], indexing="ij")
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1) % side
-    dist = torus_cross_distances(c.window, grid, positions_array(c))
+    dist = torus_cross_distances(c.window, grid, np.array([c.points[j].position for j in near]))
     covered = dist <= radii[None, :]
-    inside = covered[:, i]
+    inside = covered[:, 0]
     total = 0.0
     cell = resolution * resolution
     for k in items:
-        holders = np.array([k in c.points[j].opt.items for j in range(c.n_points)])
+        holders = np.array([k in c.points[j].opt.items for j in near])
         n_k = (covered[inside][:, holders]).sum(axis=1)
         total += popularity[k - 1] * cell * (1.0 / n_k).sum()
     return float(total)
-
-
-# ---------------------------------------------------------------------------
-# mutual nearest matching
-
-
-def matching_score_at(c: Configuration, i: int) -> float:
-    """Minus the torus distance to the designated partner when the pairing is
-    reciprocal and joins opposite colors, -inf otherwise (including partner
-    indices that fall outside the configuration)."""
-    idx = _opt_mark(c, i, PartnerIndex).index
-    if not 0 <= idx < c.n_points or idx == i:
-        return NEG_INF
-    own = _base_mark(c, i, ColorMark).color
-    other = _base_mark(c, idx, ColorMark).color
-    if own == other:
-        return NEG_INF
-    back = c.points[idx].opt
-    if not isinstance(back, PartnerIndex) or back.index != i:
-        return NEG_INF
-    return -torus_distance(c.window, c.points[i].position, c.points[idx].position)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +260,8 @@ class ScoreModel:
     """Shared behavior; concrete models override the hooks they support.
     ``interaction_neighbors`` is the one place that knows a model's range."""
 
-    kind: str = field(init=False, default="")
-    sign_regime: str = field(init=False, default="nonneg")
+    kind = ""
+    sign_regime = "nonneg"
 
     def score_at(self, c: Configuration, i: int) -> float:
         raise NotImplementedError
@@ -427,12 +330,9 @@ class ScoreModel:
 
 @dataclass(frozen=True)
 class HardcoreModel(ScoreModel):
+    kind, sign_regime = "hardcore", "nonneg"
     radius_lo: float = 0.05
     radius_hi: float = 0.15
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", "hardcore")
-        object.__setattr__(self, "sign_regime", "nonneg")
 
     def score_at(self, c: Configuration, i: int) -> float:
         return hardcore_score_at(c, i)
@@ -459,6 +359,7 @@ class HardcoreModel(ScoreModel):
 
 @dataclass(frozen=True)
 class WidomRowlinsonModel(ScoreModel):
+    sign_regime = "nonneg"
     graph: str = "line"  # "line" or "tree"
     weight_lo: float = 0.0
     weight_hi: float = 1.0
@@ -466,11 +367,25 @@ class WidomRowlinsonModel(ScoreModel):
     def __post_init__(self) -> None:
         if self.graph not in ("line", "tree"):
             raise ValidationError(f"graph must be line or tree, got {self.graph!r}")
-        object.__setattr__(self, "kind", f"wr_{self.graph}")
-        object.__setattr__(self, "sign_regime", "nonneg")
+
+    @property
+    def kind(self) -> str:
+        return f"wr_{self.graph}"
 
     def score_at(self, c: Configuration, i: int) -> float:
-        return wr_line_score_at(c, i) if self.graph == "line" else wr_tree_score_at(c, i)
+        """Sign 0 scores 0, signs +/- score their weight unless a graph
+        neighbor carries the opposite sign, which is inadmissible."""
+        if c.window.kind != self.graph:
+            raise ValidationError(f"{self.kind} scores need a {self.graph} window")
+        sign = _opt_mark(c, i, SignMark).sign
+        if sign == "0":
+            return 0.0
+        opposite = "-" if sign == "+" else "+"
+        for j in graph_neighbors(c.window, i):
+            if _opt_mark(c, j, SignMark).sign == opposite:
+                return NEG_INF
+        weights = _base_mark(c, i, WeightPair)
+        return weights.w_plus if sign == "+" else weights.w_minus
 
     def mark_candidates(self, c: Configuration, i: int) -> tuple[OptMark, ...]:
         return (SignMark("0"), SignMark("+"), SignMark("-"))
@@ -490,9 +405,7 @@ class WidomRowlinsonModel(ScoreModel):
 
 @dataclass(frozen=True)
 class LilypondModel(ScoreModel):
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", "lilypond")
-        object.__setattr__(self, "sign_regime", "nonpos")
+    kind, sign_regime = "lilypond", "nonpos"
 
     def score_at(self, c: Configuration, i: int) -> float:
         return lilypond_score_at(c, i)
@@ -522,23 +435,39 @@ class LilypondModel(ScoreModel):
 
 @dataclass(frozen=True)
 class AlohaModel(ScoreModel):
+    kind, sign_regime = "aloha", "nonpos"
     beta: float = 4.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", "aloha")
-        object.__setattr__(self, "sign_regime", "nonpos")
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise ValidationError(f"beta must be positive, got {self.beta}")
 
     def score_at(self, c: Configuration, i: int) -> float:
-        return aloha_score_at(c, i, self.beta)
+        """Log throughput of link i: own log access probability plus the log
+        success factors of all interferers at i's receiver."""
+        beta = self.beta
+        if beta <= c.window.dim:
+            raise ValidationError(f"aloha needs beta > dim, got beta={beta}, dim={c.window.dim}")
+        p_i = _opt_mark(c, i, AccessProb).prob
+        receiver = aloha_receiver(c, i)
+        acc = math.log(p_i)
+        for j in range(c.n_points):
+            if j == i:
+                continue
+            p_j = _opt_mark(c, j, AccessProb).prob
+            d = torus_distance(c.window, c.points[j].position, receiver)
+            x = p_j / (1.0 + d**beta)
+            if x >= 1.0:
+                return NEG_INF
+            acc += math.log1p(-x)
+        return acc
 
     def window_scores(self, c: Configuration) -> Iterable[float]:
         n, beta = c.n_points, self.beta
         if n and beta <= c.window.dim:
             raise ValidationError(f"aloha needs beta > dim, got beta={beta}, dim={c.window.dim}")
         probs = [_opt_mark(c, i, AccessProb).prob for i in range(n)]
-        # as aloha_score_at, with distances from receiver i in row i
+        # as score_at, with distances from receiver i in row i
         dist = torus_cross_distances(c.window, aloha_receivers(c), positions_array(c))
         scores = []
         for i in range(n):
@@ -582,6 +511,7 @@ class AlohaModel(ScoreModel):
 
 @dataclass(frozen=True)
 class CachingModel(ScoreModel):
+    kind, sign_regime = "caching", "nonneg"
     popularity: tuple[float, ...] = (0.5, 0.3, 0.2)
     k_items: int = 1
     reserve_neutral: bool = False
@@ -590,8 +520,6 @@ class CachingModel(ScoreModel):
     resolution: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", "caching")
-        object.__setattr__(self, "sign_regime", "nonneg")
         pop = tuple(float(p) for p in self.popularity)
         if self.reserve_neutral:
             # reserve k_items zero-popularity items at the top of the catalogue
@@ -611,7 +539,24 @@ class CachingModel(ScoreModel):
         return len(self.popularity)
 
     def score_at(self, c: Configuration, i: int) -> float:
-        return caching_score_at(c, i, self.popularity, self.k_items, self.resolution)
+        """Popularity-weighted coverage of cache i's ball, where every covered
+        location splits each stored item's credit evenly among the caches that
+        hold it there.
+
+        Exact interval sweep in dimension 1; grid quadrature at the given
+        resolution (default: smallest grain radius / 20) in dimension 2.
+        """
+        items, n_items = _opt_mark(c, i, ItemSet).items, self.n_items
+        if len(items) != self.k_items:
+            raise MarkSpaceError(f"point {i} stores {len(items)} items, model needs {self.k_items}")
+        if items and items[-1] > n_items:
+            raise MarkSpaceError(f"point {i} stores item {items[-1]} > catalogue size {n_items}")
+        _base_mark(c, i, GrainRadius)
+        if c.window.dim == 1:
+            return _caching_score_1d(c, i, self.popularity, items)
+        if c.window.dim == 2:
+            return _caching_score_2d(c, i, self.popularity, items, self.resolution)
+        raise ValidationError(f"caching supports dim 1 or 2, got {c.window.dim}")
 
     def neutral_mark(self) -> OptMark | None:
         """Cache of zero-popularity items, when the catalogue has enough of
@@ -644,22 +589,27 @@ class CachingModel(ScoreModel):
 
 @dataclass(frozen=True)
 class MatchingModel(ScoreModel):
+    kind, sign_regime = "matching", "nonpos"
     p_blue: float = 0.5
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", "matching")
-        object.__setattr__(self, "sign_regime", "nonpos")
-
     def score_at(self, c: Configuration, i: int) -> float:
-        return matching_score_at(c, i)
+        """Minus the torus distance to the designated partner when the pairing is
+        reciprocal and joins opposite colors, -inf otherwise (including partner
+        indices that fall outside the configuration)."""
+        idx = _opt_mark(c, i, PartnerIndex).index
+        if not 0 <= idx < c.n_points or idx == i:
+            return NEG_INF
+        own = _base_mark(c, i, ColorMark).color
+        other = _base_mark(c, idx, ColorMark).color
+        if own == other:
+            return NEG_INF
+        back = c.points[idx].opt
+        if not isinstance(back, PartnerIndex) or back.index != i:
+            return NEG_INF
+        return -torus_distance(c.window, c.points[i].position, c.points[idx].position)
 
     def mark_candidates(self, c: Configuration, i: int) -> tuple[OptMark, ...]:
-        own = _base_mark(c, i, ColorMark).color
-        return tuple(
-            PartnerIndex(j)
-            for j in range(c.n_points)
-            if j != i and _base_mark(c, j, ColorMark).color != own
-        )
+        return tuple(PartnerIndex(j) for j in self.interaction_neighbors(c)[i])
 
     def sample_mark(self, c: Configuration, i: int, g: np.random.Generator) -> OptMark:
         candidates = self.mark_candidates(c, i)
@@ -667,15 +617,15 @@ class MatchingModel(ScoreModel):
             return PartnerIndex(-1)
         return candidates[int(g.integers(0, len(candidates)))]
 
-    def affected_points(self, c: Configuration, changed: tuple[int, ...]) -> tuple[int, ...]:
+    def interaction_neighbors(self, c: Configuration) -> list[tuple[int, ...]]:
         # a score reads the marks of its point and of its partner, and only a
         # partner of the opposite color can move it; current partner pointers
-        # would give a smaller set, but one that depends on opt marks
-        own = set(changed)
-        colors = {c.points[i].base.color for i in changed}
-        return tuple(
-            j for j in range(c.n_points) if j in own or colors != {c.points[j].base.color}
-        )
+        # would give a smaller graph, but one that depends on opt marks
+        def build(c: Configuration) -> list[tuple[int, ...]]:
+            colors = [_base_mark(c, i, ColorMark).color for i in range(c.n_points)]
+            return [tuple(j for j, other in enumerate(colors) if other != own) for own in colors]
+
+        return c.derived("opposite-colors", build)
 
     def default_base_sampler(self, window: Window) -> BaseSampler:
         return color_sampler(self.p_blue)
@@ -685,26 +635,24 @@ class MatchingModel(ScoreModel):
             raise ValidationError("matching needs a cube window")
 
 
-MODEL_KINDS = ("hardcore", "wr_line", "wr_tree", "lilypond", "aloha", "caching", "matching")
+# model kind -> (model class, the parameters that the kind fixes)
+MODEL_KINDS = {
+    "hardcore": (HardcoreModel, {}),
+    "wr_line": (WidomRowlinsonModel, {"graph": "line"}),
+    "wr_tree": (WidomRowlinsonModel, {"graph": "tree"}),
+    "lilypond": (LilypondModel, {}),
+    "aloha": (AlohaModel, {}),
+    "caching": (CachingModel, {}),
+    "matching": (MatchingModel, {}),
+}
 
 
 def build_model(kind: str, **params) -> ScoreModel:
-    """Construct a model from its id and keyword parameters."""
-    if kind == "hardcore":
-        return HardcoreModel(**params)
-    if kind == "wr_line":
-        return WidomRowlinsonModel(graph="line", **params)
-    if kind == "wr_tree":
-        return WidomRowlinsonModel(graph="tree", **params)
-    if kind == "lilypond":
-        return LilypondModel(**params)
-    if kind == "aloha":
-        return AlohaModel(**params)
-    if kind == "caching":
-        return CachingModel(**params)
-    if kind == "matching":
-        return MatchingModel(**params)
-    raise ValidationError(f"unknown model kind {kind!r}")
+    """Construct a model from its kind and keyword parameters."""
+    if kind not in MODEL_KINDS:
+        raise ValidationError(f"unknown model kind {kind!r}, expected one of {tuple(MODEL_KINDS)}")
+    cls, fixed = MODEL_KINDS[kind]
+    return cls(**fixed, **params)
 
 
 def validate_marked_configuration(c: Configuration, model: ScoreModel) -> None:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,8 +38,12 @@ from markopt.core import (
     sample_poisson_configuration,
     sample_weighted_line,
     sample_weighted_tree,
+    pairwise_torus_distances,
+    pairwise_torus_linf,
+    torus_cross_distances,
     torus_distance,
 )
+from markopt.estimate import hardcore_stab_radii_all
 from markopt.models import (
     AlohaModel,
     CachingModel,
@@ -47,6 +52,7 @@ from markopt.models import (
     MatchingModel,
     WidomRowlinsonModel,
     _caching_score_1d,
+    _caching_score_2d,
     build_model,
     grain_volume,
     hardcore_score_at,
@@ -710,10 +716,14 @@ def _old_lilypond_score_at(c, i):
 
 def _boundary_grains(dim, r_i=0.5, r_j=0.25):
     """Grains at the origin and on the first axis at distances r_i + r_j and
-    within +-GEOM_TOL of it, exactly (r_i + r_j) + GEOM_TOL included."""
+    within +-GEOM_TOL of it: exactly r_i + r_j, (r_i + r_j) + GEOM_TOL and
+    (r_i + r_j) - GEOM_TOL, and one ulp either side of each."""
     reach = r_i + r_j + GEOM_TOL
+    overlap = r_i + r_j - GEOM_TOL
     gaps = [r_i + r_j, reach, math.nextafter(reach, 0.0), math.nextafter(reach, 1.0),
-            r_i + r_j - GEOM_TOL, r_i + r_j + 2 * GEOM_TOL]
+            overlap, r_i + r_j + 2 * GEOM_TOL, math.nextafter(r_i + r_j, 0.0),
+            math.nextafter(r_i + r_j, 1.0), math.nextafter(overlap, 0.0),
+            math.nextafter(overlap, 1.0)]
     configs = []
     for gap in gaps:
         pts = (
@@ -801,6 +811,84 @@ def test_caching_1d_score_matches_all_point_scan(seed):
             assert repr(_caching_score_1d(marked, i, m.popularity, items)) == repr(
                 _old_caching_score_1d(marked, i, m.popularity, items)
             )
+
+
+def _old_caching_score_2d(c, i, popularity, items, resolution):
+    """_caching_score_2d with every point in the coverage matrix."""
+    side = c.window.side
+    radii = np.array([p.base.radius for p in c.points])
+    if resolution is None:
+        resolution = float(radii.min()) / 20.0
+    x_i = np.asarray(c.points[i].position)
+    r_i = radii[i]
+    m = max(1, math.ceil(2.0 * r_i / resolution))
+    axis = x_i[None, :] - r_i + (np.arange(m)[:, None] + 0.5) * resolution
+    gx, gy = np.meshgrid(axis[:, 0], axis[:, 1], indexing="ij")
+    grid = np.stack([gx.ravel(), gy.ravel()], axis=1) % side
+    positions = np.array([p.position for p in c.points], dtype=float)
+    covered = torus_cross_distances(c.window, grid, positions) <= radii[None, :]
+    inside = covered[:, i]
+    total = 0.0
+    cell = resolution * resolution
+    for k in items:
+        holders = np.array([k in q.opt.items for q in c.points])
+        n_k = (covered[inside][:, holders]).sum(axis=1)
+        total += popularity[k - 1] * cell * (1.0 / n_k).sum()
+    return float(total)
+
+
+@pytest.mark.parametrize("resolution", [None, 0.04])
+@pytest.mark.parametrize("seed", range(2))
+def test_caching_2d_score_matches_all_point_matrix(seed, resolution):
+    m = CachingModel(popularity=(0.4, 0.3, 0.2, 0.1), k_items=2, resolution=resolution)
+    g = rng(seed, 33)
+    for c in _grain_cases(2):
+        marked = c.with_opt_marks({i: m.sample_mark(c, i, g) for i in range(c.n_points)})
+        for i in range(c.n_points):
+            items = marked.points[i].opt.items
+            assert repr(_caching_score_2d(marked, i, m.popularity, items, resolution)) == repr(
+                _old_caching_score_2d(marked, i, m.popularity, items, resolution)
+            )
+
+
+def _old_hardcore_stab_radii_all(c):
+    """hardcore_stab_radii_all from two n x n matrices."""
+    n = c.n_points
+    if n < 2:
+        return np.zeros(n)
+    radii = np.array([p.base.radius for p in c.points])
+    capable = pairwise_torus_distances(c) < (radii[:, None] + radii[None, :]) - GEOM_TOL
+    np.fill_diagonal(capable, False)
+    return np.where(capable, 2.0 * pairwise_torus_linf(c), 0.0).max(axis=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_hardcore_stab_radii_match_matrices(dim):
+    for c in _grain_cases(dim):
+        new, old = hardcore_stab_radii_all(c), _old_hardcore_stab_radii_all(c)
+        assert repr(new.tolist()) == repr(old.tolist())
+
+
+def _old_matching_affected_points(c, changed):
+    """MatchingModel.affected_points as it was before the colour graph."""
+    own = set(changed)
+    colors = {c.points[i].base.color for i in changed}
+    return tuple(
+        j for j in range(c.n_points) if j in own or colors != {c.points[j].base.color}
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p_blue", [0.0, 0.3, 0.5, 1.0])
+def test_matching_affected_points_match_colour_scan(p_blue, seed):
+    m = MatchingModel(p_blue=p_blue)
+    w = periodic_cube(2, 3.0)
+    c = sample_poisson_configuration(w, 1.5, "matching", m.default_base_sampler(w), seed)
+    g = rng(seed, 34)
+    for k in range(1, min(3, c.n_points) + 1):
+        for _ in range(5):
+            changed = tuple(sorted(int(i) for i in g.choice(c.n_points, size=k, replace=False)))
+            assert m.affected_points(c, changed) == _old_matching_affected_points(c, changed)
 
 
 @pytest.mark.parametrize("seed", range(3))
