@@ -26,6 +26,7 @@ from .core import (
     Window,
     WorkCapError,
     dump_configuration,
+    json_fits,
     load_configuration,
     window_from_json,
     window_to_json,
@@ -90,7 +91,7 @@ def load_experiment_spec(path: str) -> ExperimentSpec:
     model.validate_for_window(window)
     intensity = obj.get("intensity")
     if window.kind == "cube":
-        if not isinstance(intensity, (int, float)) or not intensity > 0.0:
+        if not (json_fits(intensity, float) and intensity > 0.0):
             raise ValidationError("cube windows need a positive intensity")
         intensity = float(intensity)
     elif intensity is not None:
@@ -104,10 +105,10 @@ def load_experiment_spec(path: str) -> ExperimentSpec:
             exact.certified_route(p.oracle, model.kind)
     search = search_params_from_json(obj.get("search"))
     replicates = obj.get("replicates", 20)
-    if not isinstance(replicates, int) or replicates < 0:
+    if not (json_fits(replicates, int) and replicates >= 0):
         raise ValidationError(f"replicates must be a nonnegative integer, got {replicates!r}")
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    if not (json_fits(seed, int) and 0 <= seed < 2**64):
         raise ValidationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     return ExperimentSpec(name, window, model, intensity, policies, search, replicates, seed)
 
@@ -256,12 +257,15 @@ def _stored_markings(out_dir: str, spec: ExperimentSpec, seed: int, policy: Poli
             summary = json.load(fh)
     except (OSError, ValueError):
         return {}
+    if not isinstance(summary, dict) or not isinstance(summary.get(key), list):
+        return {}
     if _without_search_seed(summary.get("inputs")) != _without_search_seed(inputs):
         return {}
     return {
         e["replicate"]: _rep_path(out_dir, folder, e["replicate"])
         for e in summary[key]
-        if policy.name == "local-search" or e["method"] == exact.ROUTES[policy.oracle][0]
+        if isinstance(e, dict) and isinstance(e.get("replicate"), int)
+        and (policy.name == "local-search" or e.get("method") == exact.ROUTES[policy.oracle][0])
     }
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import typing
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -598,6 +599,48 @@ def sample_weighted_tree(
 #  "base": {...} | null, "opt": {...} | null}, ...]}
 
 
+@functools.cache
+def _hint_parts(hint) -> tuple:
+    return typing.get_origin(hint), typing.get_args(hint)
+
+
+def json_fits(value: object, hint) -> bool:
+    """Whether a JSON value has type hint: a list stands for a tuple, an int
+    for a float, and a bool is no number."""
+    if isinstance(hint, type):
+        number = (int, float) if hint is float else hint
+        return isinstance(value, number) and (hint is bool or not isinstance(value, bool))
+    origin, args = _hint_parts(hint)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(args) == len(value) and all(map(json_fits, value, args))
+    return any(json_fits(value, h) for h in args)  # a union
+
+
+def json_typed(value: object, hint, what: str):
+    """value, if it has type hint, else a ValidationError naming what."""
+    if type(value) is not hint and not json_fits(value, hint):
+        name = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise ValidationError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
+# get_type_hints evaluates string annotations on every call; callers only read its dict
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def check_field_types(cls: type, params: Mapping[str, object], what: str) -> None:
+    """Refuse a keyword parameter of dataclass cls that lacks its field's
+    declared type; names that cls lacks are left to its constructor."""
+    hints = _type_hints(cls)
+    for name, value in params.items():
+        if name in hints:
+            json_typed(value, hints[name], f"{what} {name}")
+
+
 def window_to_json(window: Window) -> dict:
     if window.kind == "cube":
         return {"kind": "cube", "d": window.dim, "L": window.side}
@@ -612,11 +655,12 @@ def window_from_json(obj: object) -> Window:
     kind = obj["kind"]
     try:
         if kind == "cube":
-            return periodic_cube(int(obj["d"]), float(obj["L"]))
+            return periodic_cube(json_typed(obj["d"], int, "window d"),
+                                 float(json_typed(obj["L"], float, "window L")))
         if kind == "line":
-            return integer_line(int(obj["n"]))
+            return integer_line(json_typed(obj["n"], int, "window n"))
         if kind == "tree":
-            return tree_ball(int(obj["depth"]))
+            return tree_ball(json_typed(obj["depth"], int, "window depth"))
     except KeyError as exc:
         raise ValidationError(f"window is missing field {exc}") from exc
     raise ValidationError(f"unknown window kind {kind!r}")
@@ -643,13 +687,13 @@ def base_mark_from_json(obj: object) -> BaseMark | None:
         raise ValidationError(f"base mark must be a single-key object, got {obj!r}")
     ((tag, value),) = obj.items()
     if tag == "grain":
-        return GrainRadius(float(value))
+        return GrainRadius(float(json_typed(value, float, tag)))
     if tag == "color":
-        return ColorMark(str(value))
+        return ColorMark(json_typed(value, str, tag))
     if tag == "weights":
-        return WeightPair(float(value[0]), float(value[1]))
+        return WeightPair(*map(float, json_typed(value, tuple[float, float], tag)))
     if tag == "offset":
-        return ReceiverOffset(tuple(float(v) for v in value))
+        return ReceiverOffset(tuple(map(float, json_typed(value, tuple[float, ...], tag))))
     raise ValidationError(f"unknown base mark tag {tag!r}")
 
 
@@ -678,17 +722,17 @@ def opt_mark_from_json(obj: object) -> OptMark | None:
         raise ValidationError(f"opt mark must be a single-key object, got {obj!r}")
     ((tag, value),) = obj.items()
     if tag == "retain":
-        return Retain(bool(value))
+        return Retain(json_typed(value, bool, tag))
     if tag == "sign":
-        return SignMark(str(value))
+        return SignMark(json_typed(value, str, tag))
     if tag == "radius":
-        return RadiusMark(float(value))
+        return RadiusMark(float(json_typed(value, float, tag)))
     if tag == "prob":
-        return AccessProb(float(value))
+        return AccessProb(float(json_typed(value, float, tag)))
     if tag == "items":
-        return ItemSet(tuple(int(v) for v in value))
+        return ItemSet(tuple(json_typed(value, tuple[int, ...], tag)))
     if tag == "partner":
-        return PartnerIndex(int(value))
+        return PartnerIndex(json_typed(value, int, tag))
     raise ValidationError(f"unknown opt mark tag {tag!r}")
 
 
@@ -714,17 +758,18 @@ def configuration_from_json(obj: object) -> Configuration:
             raise ValidationError(f"configuration is missing field {field!r}")
     window = window_from_json(obj["window"])
     points = []
-    for k, entry in enumerate(obj["points"]):
+    for k, entry in enumerate(json_typed(obj["points"], list, "points")):
         if not isinstance(entry, dict):
             raise ValidationError(f"point {k} must be an object")
         if window.kind == "cube":
             if "pos" not in entry:
                 raise ValidationError(f"point {k} is missing pos")
-            position: tuple[float, ...] | int = tuple(float(v) for v in entry["pos"])
+            pos = json_typed(entry["pos"], tuple[float, ...], f"point {k} pos")
+            position: tuple[float, ...] | int = tuple(map(float, pos))
         else:
             if "site" not in entry:
                 raise ValidationError(f"point {k} is missing site")
-            position = int(entry["site"])
+            position = json_typed(entry["site"], int, f"point {k} site")
         points.append(
             MarkedPoint(
                 position=position,
@@ -732,7 +777,7 @@ def configuration_from_json(obj: object) -> Configuration:
                 opt=opt_mark_from_json(entry.get("opt")),
             )
         )
-    return Configuration(window, str(obj["model_id"]), tuple(points))
+    return Configuration(window, json_typed(obj["model_id"], str, "model_id"), tuple(points))
 
 
 def dump_configuration(c: Configuration, path: str) -> None:

@@ -33,6 +33,7 @@ from .core import (
     ValidationError,
     Window,
     _replace_points,
+    check_field_types,
     is_admissible,
     load_configuration,
     pairwise_torus_linf,
@@ -101,6 +102,7 @@ def search_params_from_json(obj: object) -> SearchParams:
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ValidationError(f"unknown search parameters {unknown}")
+    check_field_types(SearchParams, obj, "search parameter")
     return SearchParams(**obj)
 
 

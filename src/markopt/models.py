@@ -42,6 +42,7 @@ from .core import (
     ValidationError,
     WeightPair,
     Window,
+    check_field_types,
     color_sampler,
     grain_radius_sampler,
     graph_neighbors,
@@ -230,7 +231,7 @@ def _caching_score_2d(
     side = c.window.side
     # only i and its grain contacts can cover part of i's ball
     near = [i, *grain_contacts(c, closed=True)[0][i]]
-    if resolution is None:
+    if resolution is None:  # the window's grid: set by the smallest of all grains
         resolution = min(p.base.radius for p in c.points) / 20.0
     radii = np.array([c.points[j].base.radius for j in near])
     x_i = np.asarray(c.points[i].position)
@@ -648,10 +649,12 @@ MODEL_KINDS = {
 
 
 def build_model(kind: str, **params) -> ScoreModel:
-    """Construct a model from its kind and keyword parameters."""
+    """Construct a model from its kind and keyword parameters, each of its
+    field's declared type."""
     if kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {kind!r}, expected one of {tuple(MODEL_KINDS)}")
     cls, fixed = MODEL_KINDS[kind]
+    check_field_types(cls, params, "model parameter")
     return cls(**fixed, **params)
 
 

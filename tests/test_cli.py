@@ -781,6 +781,61 @@ class TestEstimateReuse:
         }
 
 
+def edit_json(path, edit):
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def string_grain(marking):
+    """The marking with its first point's grain radius written as a string."""
+    points = [dict(marking["points"][0], base={"grain": "abc"}), *marking["points"][1:]]
+    return dict(marking, points=points)
+
+
+def without(key):
+    return lambda obj: {k: v for k, v in obj.items() if k != key}
+
+
+# case -> (file to edit, or the spec, the edit, the command then run)
+MALFORMED_INPUTS = {
+    "config-points": ("configs/rep_00001.json", lambda o: dict(o, points=5), "optimize"),
+    "config-window": (
+        "configs/rep_00001.json", lambda o: dict(o, window=dict(o["window"], L="x")), "exact"
+    ),
+    "marked-grain": ("marked/rep_00000.json", string_grain, "estimate"),
+    "exact-grain": ("exact/rep_00002.json", string_grain, "estimate"),
+    "optimize-summary-list": ("optimize_summary.json", lambda o: [], "estimate"),
+    "exact-summary-list": ("exact_summary.json", lambda o: [], "estimate"),
+    "optimize-summary-no-traces": ("optimize_summary.json", without("traces"), "estimate"),
+    "exact-summary-no-solutions": ("exact_summary.json", without("solutions"), "estimate"),
+    "search-k_max": (None, lambda o: dict(o, search={"k_max": "2"}), "generate"),
+    "search-indices": (None, lambda o: dict(o, search={"indices": 5}), "generate"),
+    "radius_lo": (None, lambda o: dict(o, model=dict(o["model"], radius_lo="a")), "generate"),
+    "replicates": (None, lambda o: dict(o, replicates=True), "generate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input(tmp_path, case):
+    """A spec value of the wrong type or a malformed configuration exits 2; a
+    malformed stored marking or summary is recomputed, as by estimate alone."""
+    target, edit, command = MALFORMED_INPUTS[case]
+    spec_obj = brute_spec()
+    out = tmp_path / "run"
+    if target is None:
+        spec_obj = edit(spec_obj)
+    else:
+        run_commands(tmp_path, spec_obj, out, ["generate", "optimize", "exact"])
+        edit_json(out / target, edit)
+    path = write_spec(tmp_path, spec_obj, "edited.json")
+    code = main([command, "--spec", path, "--out", str(out), "--threads", "1"])
+    if command == "estimate":
+        assert code == 0
+        fresh_summary = fresh_estimate(tmp_path, spec_obj)[1]
+        assert (out / "estimate_summary.json").read_bytes() == fresh_summary
+    else:
+        assert code == 2
+
+
 def test_exact_lilypond_with_fewer_than_two_points(tmp_path):
     """Replicates with 0 or 1 point get radius 0 from the growth route, as
     from oracle:lilypond, and estimate reuses them."""
