@@ -26,8 +26,11 @@ from .core import (
     Window,
     WorkCapError,
     dump_configuration,
+    check_field_names,
     json_fits,
+    json_typed,
     load_configuration,
+    read_json,
     window_from_json,
     window_to_json,
 )
@@ -63,19 +66,8 @@ class ExperimentSpec:
 
 
 def load_experiment_spec(path: str) -> ExperimentSpec:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"spec file not found: {path}")
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"spec is not valid JSON: {err}")
-    if not isinstance(obj, dict):
-        raise ValidationError("spec must be a JSON object")
-    allowed = {"name", "window", "model", "intensity", "policies", "search", "replicates", "seed"}
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ValidationError(f"unknown spec fields {unknown}")
+    obj = json_typed(read_json(path), dict, "spec")
+    check_field_names(ExperimentSpec, obj, "spec fields")
     name = obj.get("name")
     if not isinstance(name, str) or not name:
         raise ValidationError("spec needs a non-empty string name")
@@ -253,9 +245,8 @@ def _stored_markings(out_dir: str, spec: ExperimentSpec, seed: int, policy: Poli
         return {}
     folder, key = _STAGES[command][:2]
     try:
-        with open(os.path.join(out_dir, f"{command}_summary.json")) as fh:
-            summary = json.load(fh)
-    except (OSError, ValueError):
+        summary = read_json(os.path.join(out_dir, f"{command}_summary.json"))
+    except ValidationError:
         return {}
     if not isinstance(summary, dict) or not isinstance(summary.get(key), list):
         return {}
@@ -288,14 +279,7 @@ def cmd_estimate(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) ->
     for i, policy in enumerate(policies):
         records = [recs[i] for recs in by_replicate]
         rows.extend(record_to_row(spec.name, policy.label, r) for r in records)
-        est = summarize_records(records, spec.window)
-        summary[policy.label] = {
-            "mean": est.mean,
-            "stderr": est.stderr,
-            "ci95": list(est.ci95),
-            "replicates": est.replicates,
-            "inadmissible_fraction": est.inadmissible_fraction,
-        }
+        summary[policy.label] = asdict(summarize_records(records, spec.window))
     write_results_csv(os.path.join(out_dir, "results.csv"), rows)
     write_json(os.path.join(out_dir, "estimate_summary.json"), summary)
     write_manifest(out_dir, spec, seed)
@@ -308,10 +292,7 @@ def cmd_estimate(spec: ExperimentSpec, out_dir: str, seed: int, threads: int) ->
 
 def _read_manifest(out_dir: str) -> dict:
     path = os.path.join(out_dir, "manifest.json")
-    if not os.path.exists(path):
-        raise ValidationError(f"missing {path}")
-    with open(path) as fh:
-        return json.load(fh)
+    return json_typed(read_json(path), dict, path)
 
 
 def _abs_gap(a: float, b: float) -> float:
@@ -330,10 +311,7 @@ def cmd_compare(dir_a: str, dir_b: str, report_path: str | None) -> int:
     rows_a = {}
     rows_b = {}
     for out_dir, rows in ((dir_a, rows_a), (dir_b, rows_b)):
-        path = os.path.join(out_dir, "results.csv")
-        if not os.path.exists(path):
-            raise ValidationError(f"missing {path}")
-        for row in read_results_csv(path):
+        for row in read_results_csv(os.path.join(out_dir, "results.csv")):
             rows[(row["policy"], row["replicate"])] = row
     shared = sorted(set(rows_a) & set(rows_b))
     max_total_gap = 0.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import typing
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
@@ -632,6 +633,13 @@ def json_typed(value: object, hint, what: str):
 _type_hints = functools.cache(typing.get_type_hints)
 
 
+def check_field_names(cls: type, obj: Mapping[str, object], what: str) -> None:
+    """Refuse keys of obj that name no field of dataclass cls."""
+    unknown = sorted(set(obj) - set(_type_hints(cls)))
+    if unknown:
+        raise ValidationError(f"unknown {what} {unknown}")
+
+
 def check_field_types(cls: type, params: Mapping[str, object], what: str) -> None:
     """Refuse a keyword parameter of dataclass cls that lacks its field's
     declared type; names that cls lacks are left to its constructor."""
@@ -641,99 +649,94 @@ def check_field_types(cls: type, params: Mapping[str, object], what: str) -> Non
             json_typed(value, hints[name], f"{what} {name}")
 
 
+# window kind -> {JSON key: Window field}; each value has its field's type
+WINDOW_FIELDS = {
+    "cube": {"d": "dim", "L": "side"},
+    "line": {"n": "n_sites"},
+    "tree": {"depth": "depth"},
+}
+
+# mark class -> JSON tag, for the base and the opt slot of a point.  A mark is
+# {tag: value}: the value is the mark's one field, or the list of its fields,
+# each of its field's type (a list for a tuple).
+BASE_MARK_TAGS = {
+    GrainRadius: "grain",
+    ColorMark: "color",
+    WeightPair: "weights",
+    ReceiverOffset: "offset",
+}
+OPT_MARK_TAGS = {
+    Retain: "retain",
+    SignMark: "sign",
+    RadiusMark: "radius",
+    AccessProb: "prob",
+    ItemSet: "items",
+    PartnerIndex: "partner",
+}
+
+
 def window_to_json(window: Window) -> dict:
-    if window.kind == "cube":
-        return {"kind": "cube", "d": window.dim, "L": window.side}
-    if window.kind == "line":
-        return {"kind": "line", "n": window.n_sites}
-    return {"kind": "tree", "depth": window.depth}
+    fields = WINDOW_FIELDS[window.kind]
+    return {"kind": window.kind, **{key: getattr(window, name) for key, name in fields.items()}}
 
 
 def window_from_json(obj: object) -> Window:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError(f"window must be an object with a kind, got {obj!r}")
-    kind = obj["kind"]
-    try:
-        if kind == "cube":
-            return periodic_cube(json_typed(obj["d"], int, "window d"),
-                                 float(json_typed(obj["L"], float, "window L")))
-        if kind == "line":
-            return integer_line(json_typed(obj["n"], int, "window n"))
-        if kind == "tree":
-            return tree_ball(json_typed(obj["depth"], int, "window depth"))
-    except KeyError as exc:
-        raise ValidationError(f"window is missing field {exc}") from exc
-    raise ValidationError(f"unknown window kind {kind!r}")
+    kind, hints = obj["kind"], _type_hints(Window)
+    if not isinstance(kind, str) or kind not in WINDOW_FIELDS:
+        raise ValidationError(f"unknown window kind {kind!r}")
+    params = {}
+    for key, name in WINDOW_FIELDS[kind].items():
+        if key not in obj:
+            raise ValidationError(f"window is missing field {key!r}")
+        value = json_typed(obj[key], hints[name], f"window {key}")
+        params[name] = float(value) if hints[name] is float else value
+    return Window(kind, **params)
 
 
-def base_mark_to_json(mark: BaseMark | None) -> dict | None:
+def _mark_decoder(cls: type) -> tuple:
+    """(cls, type hint of its JSON value, whether it has several fields,
+    whether they are all floats)."""
+    hints = tuple(_type_hints(cls).values())
+    several = len(hints) > 1
+    return cls, tuple[hints] if several else hints[0], several, all(h is float for h in hints)
+
+
+# class -> (tag, getter of the mark's JSON value); slot -> tag -> decoder
+_MARK_ENCODERS = {
+    cls: (tag, operator.attrgetter(*_type_hints(cls)))
+    for cls, tag in {**BASE_MARK_TAGS, **OPT_MARK_TAGS}.items()
+}
+_MARK_DECODERS = {
+    slot: {tag: _mark_decoder(cls) for cls, tag in tags.items()}
+    for slot, tags in (("base", BASE_MARK_TAGS), ("opt", OPT_MARK_TAGS))
+}
+
+
+def mark_to_json(mark: BaseMark | OptMark | None) -> dict | None:
     if mark is None:
         return None
-    if isinstance(mark, GrainRadius):
-        return {"grain": mark.radius}
-    if isinstance(mark, ColorMark):
-        return {"color": mark.color}
-    if isinstance(mark, WeightPair):
-        return {"weights": [mark.w_plus, mark.w_minus]}
-    if isinstance(mark, ReceiverOffset):
-        return {"offset": list(mark.offset)}
-    raise ValidationError(f"unknown base mark {mark!r}")
+    tag, get = _MARK_ENCODERS[type(mark)]
+    value = get(mark)
+    return {tag: list(value) if type(value) is tuple else value}
 
 
-def base_mark_from_json(obj: object) -> BaseMark | None:
+def mark_from_json(obj: object, slot: str) -> BaseMark | OptMark | None:
+    """The mark that obj holds in a point's "base" or "opt" slot."""
     if obj is None:
         return None
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValidationError(f"base mark must be a single-key object, got {obj!r}")
+        raise ValidationError(f"{slot} mark must be a single-key object, got {obj!r}")
     ((tag, value),) = obj.items()
-    if tag == "grain":
-        return GrainRadius(float(json_typed(value, float, tag)))
-    if tag == "color":
-        return ColorMark(json_typed(value, str, tag))
-    if tag == "weights":
-        return WeightPair(*map(float, json_typed(value, tuple[float, float], tag)))
-    if tag == "offset":
-        return ReceiverOffset(tuple(map(float, json_typed(value, tuple[float, ...], tag))))
-    raise ValidationError(f"unknown base mark tag {tag!r}")
-
-
-def opt_mark_to_json(mark: OptMark | None) -> dict | None:
-    if mark is None:
-        return None
-    if isinstance(mark, Retain):
-        return {"retain": mark.keep}
-    if isinstance(mark, SignMark):
-        return {"sign": mark.sign}
-    if isinstance(mark, RadiusMark):
-        return {"radius": mark.radius}
-    if isinstance(mark, AccessProb):
-        return {"prob": mark.prob}
-    if isinstance(mark, ItemSet):
-        return {"items": list(mark.items)}
-    if isinstance(mark, PartnerIndex):
-        return {"partner": mark.index}
-    raise ValidationError(f"unknown opt mark {mark!r}")
-
-
-def opt_mark_from_json(obj: object) -> OptMark | None:
-    if obj is None:
-        return None
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValidationError(f"opt mark must be a single-key object, got {obj!r}")
-    ((tag, value),) = obj.items()
-    if tag == "retain":
-        return Retain(json_typed(value, bool, tag))
-    if tag == "sign":
-        return SignMark(json_typed(value, str, tag))
-    if tag == "radius":
-        return RadiusMark(float(json_typed(value, float, tag)))
-    if tag == "prob":
-        return AccessProb(float(json_typed(value, float, tag)))
-    if tag == "items":
-        return ItemSet(tuple(json_typed(value, tuple[int, ...], tag)))
-    if tag == "partner":
-        return PartnerIndex(json_typed(value, int, tag))
-    raise ValidationError(f"unknown opt mark tag {tag!r}")
+    entry = _MARK_DECODERS[slot].get(tag)
+    if entry is None:
+        raise ValidationError(f"unknown {slot} mark tag {tag!r}")
+    cls, hint, several, floats = entry
+    json_typed(value, hint, tag)
+    if several:
+        return cls(*map(float, value)) if floats else cls(*value)
+    return cls(float(value) if floats else value)
 
 
 def configuration_to_json(c: Configuration) -> dict:
@@ -744,8 +747,8 @@ def configuration_to_json(c: Configuration) -> dict:
             entry["pos"] = list(p.position)
         else:
             entry["site"] = p.position
-        entry["base"] = base_mark_to_json(p.base)
-        entry["opt"] = opt_mark_to_json(p.opt)
+        entry["base"] = mark_to_json(p.base)
+        entry["opt"] = mark_to_json(p.opt)
         points.append(entry)
     return {"window": window_to_json(c.window), "model_id": c.model_id, "points": points}
 
@@ -757,24 +760,20 @@ def configuration_from_json(obj: object) -> Configuration:
         if field not in obj:
             raise ValidationError(f"configuration is missing field {field!r}")
     window = window_from_json(obj["window"])
+    cube = window.kind == "cube"
+    key, hint = ("pos", tuple[float, ...]) if cube else ("site", int)
     points = []
     for k, entry in enumerate(json_typed(obj["points"], list, "points")):
         if not isinstance(entry, dict):
             raise ValidationError(f"point {k} must be an object")
-        if window.kind == "cube":
-            if "pos" not in entry:
-                raise ValidationError(f"point {k} is missing pos")
-            pos = json_typed(entry["pos"], tuple[float, ...], f"point {k} pos")
-            position: tuple[float, ...] | int = tuple(map(float, pos))
-        else:
-            if "site" not in entry:
-                raise ValidationError(f"point {k} is missing site")
-            position = json_typed(entry["site"], int, f"point {k} site")
+        if key not in entry:
+            raise ValidationError(f"point {k} is missing {key}")
+        position = json_typed(entry[key], hint, f"point {k} {key}")
         points.append(
             MarkedPoint(
-                position=position,
-                base=base_mark_from_json(entry.get("base")),
-                opt=opt_mark_from_json(entry.get("opt")),
+                position=tuple(map(float, position)) if cube else position,
+                base=mark_from_json(entry.get("base"), "base"),
+                opt=mark_from_json(entry.get("opt"), "opt"),
             )
         )
     return Configuration(window, json_typed(obj["model_id"], str, "model_id"), tuple(points))
@@ -786,10 +785,19 @@ def dump_configuration(c: Configuration, path: str) -> None:
         fh.write("\n")
 
 
+def read_json(path: str) -> object:
+    """The JSON value in file path; a file that cannot be opened, decoded as
+    UTF-8 or parsed as JSON is a ValidationError naming path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise ValidationError(f"file not found: {path}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def load_configuration(path: str) -> Configuration:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    return configuration_from_json(obj)
+    return configuration_from_json(read_json(path))

@@ -14,8 +14,9 @@ import csv
 import math
 import json
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -33,6 +34,7 @@ from .core import (
     ValidationError,
     Window,
     _replace_points,
+    check_field_names,
     check_field_types,
     is_admissible,
     load_configuration,
@@ -98,10 +100,7 @@ def search_params_from_json(obj: object) -> SearchParams:
         return SearchParams()
     if not isinstance(obj, dict):
         raise ValidationError(f"search parameters must be an object, got {type(obj).__name__}")
-    allowed = {f.name for f in fields(SearchParams)}
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ValidationError(f"unknown search parameters {unknown}")
+    check_field_names(SearchParams, obj, "search parameters")
     check_field_types(SearchParams, obj, "search parameter")
     return SearchParams(**obj)
 
@@ -112,9 +111,7 @@ def parse_policy(obj: object) -> Policy:
             return Policy("oracle", oracle=obj.split(":", 1)[1])
         return Policy(obj)
     if isinstance(obj, dict):
-        extra = sorted(set(obj) - {"name", "oracle", "search"})
-        if extra:
-            raise ValidationError(f"unknown policy fields {extra}")
+        check_field_names(Policy, obj, "policy fields")
         name = obj.get("name")
         if not isinstance(name, str):
             raise ValidationError("policy needs a string name")
@@ -238,7 +235,7 @@ def _stored_marking(path: str, c: Configuration) -> Configuration | None:
     window, model, points and base marks of the unmarked c."""
     try:
         m = load_configuration(path)
-    except (OSError, ValidationError):
+    except ValidationError:
         return None
     unmarked = m.with_opt_marks(dict.fromkeys(range(m.n_points)))
     return _replace_points(c, m.points) if unmarked == c else None
@@ -612,29 +609,14 @@ def campbell_identity_check(
 # ---------------------------------------------------------------------------
 # result emission
 
-RESULT_COLUMNS = (
-    "experiment",
-    "policy",
-    "replicate",
-    "seed",
-    "n_points",
-    "total_score",
-    "admissible",
-    "elapsed_ms",
-)
+# the experiment and the policy, then one column per field of ReplicateRecord
+RESULT_COLUMNS = ("experiment", "policy", *(f.name for f in fields(ReplicateRecord)))
 
 
 def record_to_row(experiment: str, policy_label: str, record: ReplicateRecord) -> dict:
-    return {
-        "experiment": experiment,
-        "policy": policy_label,
-        "replicate": record.replicate,
-        "seed": record.seed,
-        "n_points": record.n_points,
-        "total_score": record.total_score,
-        "admissible": record.admissible,
-        "elapsed_ms": round(record.elapsed_ms, 3),
-    }
+    row = dict(zip(RESULT_COLUMNS, (experiment, policy_label, *astuple(record))))
+    row["elapsed_ms"] = round(record.elapsed_ms, 3)
+    return row
 
 
 def write_results_csv(path: str, rows: list[dict]) -> None:
@@ -646,22 +628,18 @@ def write_results_csv(path: str, rows: list[dict]) -> None:
 
 
 def read_results_csv(path: str) -> list[dict]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                {
-                    "experiment": row["experiment"],
-                    "policy": row["policy"],
-                    "replicate": int(row["replicate"]),
-                    "seed": int(row["seed"]),
-                    "n_points": int(row["n_points"]),
-                    "total_score": float(row["total_score"]),
-                    "admissible": row["admissible"] == "True",
-                    "elapsed_ms": float(row["elapsed_ms"]),
-                }
-            )
-    return out
+    """Rows of a results table, each column parsed by its record field's type;
+    a file that cannot be read or parsed is a ValidationError naming path."""
+    types = dict.fromkeys(RESULT_COLUMNS, str) | typing.get_type_hints(ReplicateRecord)
+    try:
+        with open(path, newline="") as fh:
+            return [
+                {name: row[name] == "True" if kind is bool else kind(row[name])
+                 for name, kind in types.items()}
+                for row in csv.DictReader(fh)
+            ]
+    except (OSError, csv.Error, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path} is not a readable results table: {exc!r}") from exc
 
 
 def _finite_or_null(obj: object) -> object:

@@ -231,9 +231,9 @@ def _caching_score_2d(
     side = c.window.side
     # only i and its grain contacts can cover part of i's ball
     near = [i, *grain_contacts(c, closed=True)[0][i]]
-    if resolution is None:  # the window's grid: set by the smallest of all grains
-        resolution = min(p.base.radius for p in c.points) / 20.0
     radii = np.array([c.points[j].base.radius for j in near])
+    if resolution is None:  # the grid of i's neighbourhood: set by its smallest grain
+        resolution = float(radii.min()) / 20.0
     x_i = np.asarray(c.points[i].position)
     r_i = radii[0]
     m = max(1, math.ceil(2.0 * r_i / resolution))
@@ -545,7 +545,8 @@ class CachingModel(ScoreModel):
         hold it there.
 
         Exact interval sweep in dimension 1; grid quadrature at the given
-        resolution (default: smallest grain radius / 20) in dimension 2.
+        resolution (default: the smallest radius among cache i and the grains
+        that touch it, over 20) in dimension 2.
         """
         items, n_items = _opt_mark(c, i, ItemSet).items, self.n_items
         if len(items) != self.k_items:

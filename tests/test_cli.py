@@ -1,5 +1,6 @@
 """Command line driver: spec loading, pipelines, exit codes, reproducibility."""
 
+import csv
 import json
 import math
 import os
@@ -828,6 +829,76 @@ def test_malformed_input(tmp_path, case):
         edit_json(out / target, edit)
     path = write_spec(tmp_path, spec_obj, "edited.json")
     code = main([command, "--spec", path, "--out", str(out), "--threads", "1"])
+    if command == "estimate":
+        assert code == 0
+        fresh_summary = fresh_estimate(tmp_path, spec_obj)[1]
+        assert (out / "estimate_summary.json").read_bytes() == fresh_summary
+    else:
+        assert code == 2
+
+
+def not_utf8(path):
+    path.write_bytes(b"\xff" + path.read_bytes())
+
+
+def spec_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def truncated(path):
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+def results_edit(edit):
+    """Apply edit to each row of results.csv, read as a dict; the header
+    follows the edited rows' keys."""
+
+    def apply(path):
+        with open(path, newline="") as fh:
+            rows = [edit(row) for row in csv.DictReader(fh)]
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+
+    return apply
+
+
+# case -> (file to break, "spec" for the spec, the break, the command then run)
+UNREADABLE_FILES = {
+    "spec-directory": ("spec", spec_directory, "generate"),
+    "spec-not-utf8": ("spec", not_utf8, "generate"),
+    "config-not-utf8": ("configs/rep_00001.json", not_utf8, "optimize"),
+    "marked-not-utf8": ("marked/rep_00000.json", not_utf8, "estimate"),
+    "manifest-list": ("manifest.json", lambda p: p.write_text("[]"), "compare"),
+    "manifest-truncated": ("manifest.json", truncated, "compare"),
+    "results-no-replicate": ("results.csv", results_edit(without("replicate")), "compare"),
+    "results-total-abc": (
+        "results.csv", results_edit(lambda row: dict(row, total_score="abc")), "compare"
+    ),
+    # a field longer than the csv module's limit raises csv.Error
+    "results-csv-error": (
+        "results.csv", results_edit(lambda row: dict(row, experiment="x" * 200_000)), "compare"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))
+def test_unreadable_file(tmp_path, case):
+    """A spec, configuration, manifest or results table that cannot be read,
+    decoded or parsed exits 2; such a stored marking is recomputed, as by
+    estimate alone."""
+    target, edit, command = UNREADABLE_FILES[case]
+    spec_obj = brute_spec()
+    out = run_commands(tmp_path, spec_obj, tmp_path / "run", ["generate", "optimize", "exact"])
+    spec_path = tmp_path / "edited.json"
+    spec_path.write_text(json.dumps(spec_obj))
+    edit(spec_path if target == "spec" else out / target)
+    if command == "compare":
+        code = main(["compare", str(out), str(out)])
+    else:
+        code = main([command, "--spec", str(spec_path), "--out", str(out), "--threads", "1"])
     if command == "estimate":
         assert code == 0
         fresh_summary = fresh_estimate(tmp_path, spec_obj)[1]

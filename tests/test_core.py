@@ -10,9 +10,15 @@ from hypothesis import strategies as st
 
 from markopt.core import (
     NEG_INF,
+    AccessProb,
+    ColorMark,
     Configuration,
     GrainRadius,
+    ItemSet,
     MarkedPoint,
+    PartnerIndex,
+    RadiusMark,
+    ReceiverOffset,
     Retain,
     SignMark,
     ValidationError,
@@ -24,7 +30,10 @@ from markopt.core import (
     graph_neighbors,
     integer_line,
     is_admissible,
+    json_typed,
     load_configuration,
+    mark_from_json,
+    mark_to_json,
     pairwise_torus_distances,
     pairwise_torus_linf,
     periodic_cube,
@@ -43,6 +52,8 @@ from markopt.core import (
     tree_ball,
     tree_structure,
     tree_vertex_count,
+    window_from_json,
+    window_to_json,
     wrap_position,
 )
 
@@ -407,3 +418,249 @@ def test_float_array_round_trip_precision():
     g = np.random.default_rng(0)
     for x in g.uniform(0, 10, size=50):
         assert float(repr(float(x))) == float(x)
+
+
+# -- mark and window codecs against the per-class if-chains they replace ------
+
+
+def _old_window_to_json(window):
+    if window.kind == "cube":
+        return {"kind": "cube", "d": window.dim, "L": window.side}
+    if window.kind == "line":
+        return {"kind": "line", "n": window.n_sites}
+    return {"kind": "tree", "depth": window.depth}
+
+
+def _old_window_from_json(obj):
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ValidationError(f"window must be an object with a kind, got {obj!r}")
+    kind = obj["kind"]
+    try:
+        if kind == "cube":
+            return periodic_cube(json_typed(obj["d"], int, "window d"),
+                                 float(json_typed(obj["L"], float, "window L")))
+        if kind == "line":
+            return integer_line(json_typed(obj["n"], int, "window n"))
+        if kind == "tree":
+            return tree_ball(json_typed(obj["depth"], int, "window depth"))
+    except KeyError as exc:
+        raise ValidationError(f"window is missing field {exc}") from exc
+    raise ValidationError(f"unknown window kind {kind!r}")
+
+
+def _old_base_mark_to_json(mark):
+    if mark is None:
+        return None
+    if isinstance(mark, GrainRadius):
+        return {"grain": mark.radius}
+    if isinstance(mark, ColorMark):
+        return {"color": mark.color}
+    if isinstance(mark, WeightPair):
+        return {"weights": [mark.w_plus, mark.w_minus]}
+    if isinstance(mark, ReceiverOffset):
+        return {"offset": list(mark.offset)}
+    raise ValidationError(f"unknown base mark {mark!r}")
+
+
+def _old_base_mark_from_json(obj):
+    if obj is None:
+        return None
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise ValidationError(f"base mark must be a single-key object, got {obj!r}")
+    ((tag, value),) = obj.items()
+    if tag == "grain":
+        return GrainRadius(float(json_typed(value, float, tag)))
+    if tag == "color":
+        return ColorMark(json_typed(value, str, tag))
+    if tag == "weights":
+        return WeightPair(*map(float, json_typed(value, tuple[float, float], tag)))
+    if tag == "offset":
+        return ReceiverOffset(tuple(map(float, json_typed(value, tuple[float, ...], tag))))
+    raise ValidationError(f"unknown base mark tag {tag!r}")
+
+
+def _old_opt_mark_to_json(mark):
+    if mark is None:
+        return None
+    if isinstance(mark, Retain):
+        return {"retain": mark.keep}
+    if isinstance(mark, SignMark):
+        return {"sign": mark.sign}
+    if isinstance(mark, RadiusMark):
+        return {"radius": mark.radius}
+    if isinstance(mark, AccessProb):
+        return {"prob": mark.prob}
+    if isinstance(mark, ItemSet):
+        return {"items": list(mark.items)}
+    if isinstance(mark, PartnerIndex):
+        return {"partner": mark.index}
+    raise ValidationError(f"unknown opt mark {mark!r}")
+
+
+def _old_opt_mark_from_json(obj):
+    if obj is None:
+        return None
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise ValidationError(f"opt mark must be a single-key object, got {obj!r}")
+    ((tag, value),) = obj.items()
+    if tag == "retain":
+        return Retain(json_typed(value, bool, tag))
+    if tag == "sign":
+        return SignMark(json_typed(value, str, tag))
+    if tag == "radius":
+        return RadiusMark(float(json_typed(value, float, tag)))
+    if tag == "prob":
+        return AccessProb(float(json_typed(value, float, tag)))
+    if tag == "items":
+        return ItemSet(tuple(json_typed(value, tuple[int, ...], tag)))
+    if tag == "partner":
+        return PartnerIndex(json_typed(value, int, tag))
+    raise ValidationError(f"unknown opt mark tag {tag!r}")
+
+
+_OLD_MARK_CODECS = {
+    "base": (_old_base_mark_to_json, _old_base_mark_from_json),
+    "opt": (_old_opt_mark_to_json, _old_opt_mark_from_json),
+}
+
+CODEC_MARKS = [
+    ("base", None),
+    ("base", GrainRadius(0.25)),
+    ("base", ColorMark("blue")),
+    ("base", ColorMark("red")),
+    ("base", WeightPair(0.5, 0.125)),
+    ("base", WeightPair(0.0, 1.0)),
+    ("base", ReceiverOffset((0.6, 0.8))),
+    ("base", ReceiverOffset((-1.0,))),
+    ("base", ReceiverOffset((0.0, 0.6, -0.8))),
+    ("opt", None),
+    ("opt", Retain(True)),
+    ("opt", Retain(False)),
+    ("opt", SignMark("+")),
+    ("opt", SignMark("0")),
+    ("opt", RadiusMark(0.0)),
+    ("opt", RadiusMark(1.5)),
+    ("opt", AccessProb(0.3)),
+    ("opt", AccessProb(1.0)),
+    ("opt", ItemSet(())),
+    ("opt", ItemSet((2,))),
+    ("opt", ItemSet((1, 3, 4))),
+    ("opt", PartnerIndex(-1)),
+    ("opt", PartnerIndex(7)),
+]
+
+
+@pytest.mark.parametrize("slot, mark", CODEC_MARKS, ids=repr)
+def test_mark_codec_matches_if_chains(slot, mark):
+    old_to, old_from = _OLD_MARK_CODECS[slot]
+    obj = mark_to_json(mark)
+    assert obj == old_to(mark) and repr(obj) == repr(old_to(mark))
+    back = mark_from_json(obj, slot)
+    assert back == old_from(obj) == mark and repr(back) == repr(old_from(obj))
+
+
+@pytest.mark.parametrize(
+    "slot, obj",
+    [
+        ("base", {"grain": 1}),
+        ("base", {"weights": [1, 0]}),
+        ("base", {"weights": [0.5, 2]}),
+        ("base", {"offset": [0, 1]}),
+        ("base", {"offset": [1, 0, 0]}),
+        ("opt", {"radius": 2}),
+        ("opt", {"prob": 1}),
+        ("opt", {"items": [1, 2, 5]}),
+    ],
+    ids=repr,
+)
+def test_mark_from_json_makes_ints_in_float_fields_floats(slot, obj):
+    back = mark_from_json(obj, slot)
+    assert repr(back) == repr(_OLD_MARK_CODECS[slot][1](obj))
+    assert mark_to_json(back) == _OLD_MARK_CODECS[slot][0](back)
+    if isinstance(back, GrainRadius):
+        assert type(back.radius) is float and mark_to_json(back) == {"grain": 1.0}
+
+
+@pytest.mark.parametrize(
+    "slot, obj",
+    [
+        ("opt", {"grain": 0.5}),
+        ("opt", {"weights": [0.5, 0.5]}),
+        ("base", {"retain": True}),
+        ("base", {"items": [1]}),
+        ("base", {"spin": 1}),
+        ("opt", {"spin": 1}),
+        ("base", {"grain": "abc"}),
+        ("base", {"grain": True}),
+        ("base", {"color": 1}),
+        ("base", {"weights": [0.5]}),
+        ("base", {"weights": 0.5}),
+        ("base", {"offset": 1.0}),
+        ("opt", {"retain": 1}),
+        ("opt", {"sign": None}),
+        ("opt", {"items": [1.5]}),
+        ("opt", {"partner": True}),
+        ("opt", {"partner": 1.0}),
+        ("base", {"grain": 0.5, "color": "red"}),
+        ("opt", {}),
+        ("base", [0.5]),
+    ],
+    ids=repr,
+)
+def test_mark_from_json_rejects_wrong_slot_tag_and_type(slot, obj):
+    with pytest.raises(ValidationError):
+        mark_from_json(obj, slot)
+    with pytest.raises(ValidationError):
+        _OLD_MARK_CODECS[slot][1](obj)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [periodic_cube(1, 6.0), periodic_cube(3, 2.5), integer_line(1), integer_line(10), tree_ball(0),
+     tree_ball(3)],
+    ids=repr,
+)
+def test_window_codec_matches_if_chain(window):
+    obj = window_to_json(window)
+    assert obj == _old_window_to_json(window) and repr(obj) == repr(_old_window_to_json(window))
+    assert repr(window_from_json(obj)) == repr(_old_window_from_json(obj)) == repr(window)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "cube", "d": 2, "L": 5},
+        {"kind": "cube", "d": 1, "L": 0.5, "n": 3},
+        {"kind": "line", "n": 4, "L": "ignored"},
+        {"kind": "tree", "depth": 2},
+    ],
+    ids=repr,
+)
+def test_window_from_json_matches_if_chain(obj):
+    assert repr(window_from_json(obj)) == repr(_old_window_from_json(obj))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "torus", "d": 2, "L": 5.0},
+        {"kind": ["cube"], "d": 2, "L": 5.0},
+        {"kind": "cube", "d": 2},
+        {"kind": "cube", "L": 5.0},
+        {"kind": "cube", "d": 2.0, "L": 5.0},
+        {"kind": "cube", "d": 2, "L": "5"},
+        {"kind": "cube", "d": 2, "L": True},
+        {"kind": "cube", "d": 0, "L": 5.0},
+        {"kind": "line", "n": "40"},
+        {"kind": "line"},
+        {"kind": "tree", "depth": -1},
+        {"d": 2, "L": 5.0},
+        ["cube", 2, 5.0],
+    ],
+    ids=repr,
+)
+def test_window_from_json_rejects(obj):
+    with pytest.raises(ValidationError):
+        window_from_json(obj)
+    with pytest.raises(ValidationError):
+        _old_window_from_json(obj)

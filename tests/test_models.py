@@ -817,15 +817,16 @@ def _old_caching_score_2d(c, i, popularity, items, resolution):
     """_caching_score_2d with every point in the coverage matrix."""
     side = c.window.side
     radii = np.array([p.base.radius for p in c.points])
-    if resolution is None:
-        resolution = float(radii.min()) / 20.0
+    positions = np.array([p.position for p in c.points], dtype=float)
+    if resolution is None:  # the smallest grain among i and the grains touching it
+        d_i = torus_cross_distances(c.window, positions[i : i + 1], positions)[0]
+        resolution = float(radii[d_i <= radii[i] + radii + GEOM_TOL].min()) / 20.0
     x_i = np.asarray(c.points[i].position)
     r_i = radii[i]
     m = max(1, math.ceil(2.0 * r_i / resolution))
     axis = x_i[None, :] - r_i + (np.arange(m)[:, None] + 0.5) * resolution
     gx, gy = np.meshgrid(axis[:, 0], axis[:, 1], indexing="ij")
     grid = np.stack([gx.ravel(), gy.ravel()], axis=1) % side
-    positions = np.array([p.position for p in c.points], dtype=float)
     covered = torus_cross_distances(c.window, grid, positions) <= radii[None, :]
     inside = covered[:, i]
     total = 0.0
@@ -849,6 +850,22 @@ def test_caching_2d_score_matches_all_point_matrix(seed, resolution):
             assert repr(_caching_score_2d(marked, i, m.popularity, items, resolution)) == repr(
                 _old_caching_score_2d(marked, i, m.popularity, items, resolution)
             )
+
+
+def test_caching_2d_score_ignores_far_grains():
+    """A 2-d score reads only the cache and the grains that touch it, its
+    default grid included: a smaller grain far away changes nothing."""
+    m = CachingModel(popularity=(0.5, 0.3, 0.2))
+    near = (
+        MarkedPoint((2.0, 2.0), GrainRadius(0.5), ItemSet((1,))),
+        MarkedPoint((2.6, 2.0), GrainRadius(0.4), ItemSet((1,))),
+    )
+    far = MarkedPoint((9.0, 2.0), GrainRadius(0.31), ItemSet((2,)))
+    w = periodic_cube(2, 16.0)
+    alone = Configuration(w, "caching", near)
+    with_far = Configuration(w, "caching", near + (far,))
+    assert m.score_at(with_far, 0) == m.score_at(alone, 0)
+    assert m.score_at(with_far, 1) == m.score_at(alone, 1)
 
 
 def _old_hardcore_stab_radii_all(c):
