@@ -14,7 +14,8 @@ import json
 import math
 import operator
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -412,7 +413,8 @@ class Configuration:
         """Copy with the opt marks of the given point indices replaced."""
         pts = list(self.points)
         for i, mark in assignments.items():
-            pts[i] = replace(pts[i], opt=mark)
+            p = pts[i]
+            pts[i] = MarkedPoint(p.position, p.base, mark)
         return _replace_points(self, tuple(pts))
 
     def derived(self, key: object, build: Callable[["Configuration"], object]) -> object:
@@ -739,20 +741,6 @@ def mark_from_json(obj: object, slot: str) -> BaseMark | OptMark | None:
     return cls(float(value) if floats else value)
 
 
-def configuration_to_json(c: Configuration) -> dict:
-    points = []
-    for p in c.points:
-        entry: dict = {}
-        if c.window.kind == "cube":
-            entry["pos"] = list(p.position)
-        else:
-            entry["site"] = p.position
-        entry["base"] = mark_to_json(p.base)
-        entry["opt"] = mark_to_json(p.opt)
-        points.append(entry)
-    return {"window": window_to_json(c.window), "model_id": c.model_id, "points": points}
-
-
 def configuration_from_json(obj: object) -> Configuration:
     if not isinstance(obj, dict):
         raise ValidationError(f"configuration must be an object, got {type(obj).__name__}")
@@ -779,10 +767,69 @@ def configuration_from_json(obj: object) -> Configuration:
     return Configuration(window, json_typed(obj["model_id"], str, "model_id"), tuple(points))
 
 
+def _json_scalar(value: object) -> str:
+    """A JSON scalar as json.dump writes it: floats (np.float64 too) by
+    float.__repr__ or as NaN/Infinity/-Infinity, bools before ints, strings
+    ASCII-escaped."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_list(values: Sequence, level: int) -> str:
+    """A list of scalars as json.dump(indent=1) writes it at nesting level."""
+    if not values:
+        return "[]"
+    inner = "\n" + " " * (level + 1)
+    return "[" + inner + ("," + inner).join(map(_json_scalar, values)) + "\n" + " " * level + "]"
+
+
+def _mark_text(mark: BaseMark | OptMark | None) -> str:
+    """mark_to_json(mark) as json.dump(indent=1) writes it in a point."""
+    obj = mark_to_json(mark)
+    if obj is None:
+        return "null"
+    ((tag, value),) = obj.items()
+    value = _json_list(value, 4) if type(value) is list else _json_scalar(value)
+    return "{\n    " + encode_basestring_ascii(tag) + ": " + value + "\n   }"
+
+
+def configuration_text(c: Configuration) -> str:
+    """The text of c's configuration file: the bytes that json.dump(obj, fh,
+    indent=1) and a newline write for the layout above, built in one pass."""
+    window = ",\n  ".join(
+        encode_basestring_ascii(key) + ": " + _json_scalar(value)
+        for key, value in window_to_json(c.window).items()
+    )
+    if c.window.kind == "cube":
+        positions = ['"pos": ' + _json_list(p.position, 3) for p in c.points]
+    else:
+        positions = ['"site": ' + _json_scalar(p.position) for p in c.points]
+    points = [
+        '{\n   %s,\n   "base": %s,\n   "opt": %s\n  }' % (position, _mark_text(p.base), _mark_text(p.opt))
+        for position, p in zip(positions, c.points)
+    ]
+    body = "[\n  " + ",\n  ".join(points) + "\n ]" if points else "[]"
+    model_id = encode_basestring_ascii(c.model_id)
+    return '{\n "window": {\n  %s\n },\n "model_id": %s,\n "points": %s\n}\n' % (window, model_id, body)
+
+
 def dump_configuration(c: Configuration, path: str) -> None:
+    text = configuration_text(c)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(configuration_to_json(c), fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_json(path: str) -> object:

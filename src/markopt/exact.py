@@ -25,6 +25,7 @@ from .core import (
     ColorMark,
     Configuration,
     MarkSpaceError,
+    MarkedPoint,
     OptMark,
     PartnerIndex,
     RadiusMark,
@@ -32,6 +33,7 @@ from .core import (
     ValidationError,
     WeightPair,
     WorkCapError,
+    _replace_points,
     pairwise_torus_distances,
     positions_array,
     score_diff,
@@ -98,21 +100,25 @@ def brute_force_optimum(
             raise WorkCapError(
                 f"enumeration needs {work} > {work_cap} score evaluations"
             )
-    best_marks: tuple[OptMark, ...] | None = None
+    # each point with each of its candidate marks, built once
+    rows = [
+        [MarkedPoint(p.position, p.base, mark) for mark in cand]
+        for p, cand in zip(c.points, candidates)
+    ]
+    best_points: tuple[MarkedPoint, ...] | None = None
     best_value = NEG_INF
     multiplicity = 0
-    for marks in itertools.product(*candidates):
-        cfg = c.with_opt_marks(dict(enumerate(marks)))
-        value = total_window_score(cfg, model)
+    for points in itertools.product(*rows):
+        value = total_window_score(_replace_points(c, points), model)
         if value == NEG_INF:
             continue
-        if best_marks is None or value > best_value:
-            best_marks, best_value, multiplicity = marks, value, 1
+        if best_points is None or value > best_value:
+            best_points, best_value, multiplicity = points, value, 1
         elif value == best_value:
             multiplicity += 1
-    if best_marks is None:
+    if best_points is None:
         return BruteForceResult(tuple(candidates[i][0] for i in range(n)), NEG_INF, 0)
-    return BruteForceResult(best_marks, best_value, multiplicity)
+    return BruteForceResult(tuple(p.opt for p in best_points), best_value, multiplicity)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Extended-score arithmetic, windows, sampling, and serialization."""
 
+import json
 import math
 import os
 
@@ -25,7 +26,7 @@ from markopt.core import (
     WeightPair,
     check_score,
     configuration_from_json,
-    configuration_to_json,
+    configuration_text,
     dump_configuration,
     graph_neighbors,
     integer_line,
@@ -375,7 +376,7 @@ def test_json_round_trip(model_id, tmp_path):
 
 def test_json_round_trip_in_memory():
     c = sample_weighted_line(3, 1)
-    assert configuration_from_json(configuration_to_json(c)) == c
+    assert configuration_from_json(json.loads(configuration_text(c))) == c
 
 
 def test_empty_configuration_round_trip(tmp_path):
@@ -406,7 +407,7 @@ def test_round_trip_bit_exact_random(seed):
     w = periodic_cube(2, 10.0)
     sampler = grain_radius_sampler(0.05, 0.15)
     c = sample_poisson_configuration(w, 0.3, "hardcore", sampler, seed)
-    back = configuration_from_json(configuration_to_json(c))
+    back = configuration_from_json(json.loads(configuration_text(c)))
     assert back == c
     for p, q in zip(c.points, back.points):
         assert p.position == q.position
@@ -664,3 +665,83 @@ def test_window_from_json_rejects(obj):
         window_from_json(obj)
     with pytest.raises(ValidationError):
         _old_window_from_json(obj)
+
+
+# -- configuration writer against json.dump ------------------------------------
+
+
+def _old_configuration_to_json(c):
+    points = []
+    for p in c.points:
+        entry = {}
+        if c.window.kind == "cube":
+            entry["pos"] = list(p.position)
+        else:
+            entry["site"] = p.position
+        entry["base"] = _old_base_mark_to_json(p.base)
+        entry["opt"] = _old_opt_mark_to_json(p.opt)
+        points.append(entry)
+    return {"window": _old_window_to_json(c.window), "model_id": c.model_id, "points": points}
+
+
+def _old_dump_configuration(c, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_old_configuration_to_json(c), fh, indent=1)
+        fh.write("\n")
+
+
+def _forced_weights(w_plus, w_minus):
+    """A weight pair holding values that its constructor refuses."""
+    mark = WeightPair(0.0, 0.0)
+    object.__setattr__(mark, "w_plus", w_plus)
+    object.__setattr__(mark, "w_minus", w_minus)
+    return mark
+
+
+def _every_mark(positions):
+    """Points at positions whose base and opt marks cycle through every mark
+    class of their slot and None."""
+    base = [m for slot, m in CODEC_MARKS if slot == "base"]
+    opt = [m for slot, m in CODEC_MARKS if slot == "opt"]
+    return tuple(
+        MarkedPoint(pos, base[k % len(base)], opt[k % len(opt)]) for k, pos in enumerate(positions)
+    )
+
+
+WRITER_CASES = {
+    "cube-1d": Configuration(periodic_cube(1, 10.0), "hardcore",
+                             _every_mark([(0.5 * k + 0.1,) for k in range(14)])),
+    "cube-2d": Configuration(periodic_cube(2, 5.0), "caching",
+                             _every_mark([(0.3 * k, 4.9 - 0.3 * k) for k in range(14)])),
+    "cube-3d": Configuration(periodic_cube(3, 2.5), "aloha",
+                             _every_mark([(0.1 * k, 0.2, 2.4 - 0.1 * k) for k in range(14)])),
+    "line": Configuration(integer_line(14), "wr_line", _every_mark(range(14))),
+    "tree": Configuration(tree_ball(3), "wr_tree", _every_mark(range(22))),
+    "empty-cube": Configuration(periodic_cube(2, 5.0), "hardcore", ()),
+    "empty-line": Configuration(integer_line(5), "wr_line", ()),
+    "numbers": Configuration(
+        periodic_cube(3, 1e17),
+        "mixed",
+        (
+            MarkedPoint((-0.0, 5e-324, 1e16), GrainRadius(np.float64(0.1) * 3),
+                        RadiusMark(1e16)),
+            MarkedPoint((3, 1.5, 2.0), _forced_weights(math.inf, -math.inf),
+                        AccessProb(np.float64(0.75))),
+            MarkedPoint((0.1, 0.2, 0.30000000000000004), _forced_weights(math.nan, 1e-7),
+                        ItemSet(())),
+            MarkedPoint((7.0, 8.0, 9.0), WeightPair(np.float64(1.5), 2), ItemSet((1, 2, 9, 10))),
+        ),
+    ),
+    "model-id": Configuration(integer_line(2), 'say "hi" \\ caf\u00e9 \u2603\n',
+                              _every_mark(range(2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_dump_configuration_writes_json_dump_bytes(case, tmp_path):
+    c = WRITER_CASES[case]
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    dump_configuration(c, str(new))
+    _old_dump_configuration(c, str(old))
+    assert new.read_bytes() == old.read_bytes()
+    assert configuration_text(c) == old.read_text(encoding="utf-8")

@@ -35,6 +35,7 @@ from markopt.core import (
     torus_distance,
 )
 from markopt.models import (
+    CachingModel,
     HardcoreModel,
     LilypondModel,
     MatchingModel,
@@ -42,10 +43,12 @@ from markopt.models import (
     _opt_mark,
     lilypond_constraints,
 )
-from markopt.optimize import SearchParams, local_search
+from markopt.optimize import SearchParams, local_search, total_window_score
 from markopt.exact import (
+    BRUTE_FORCE_CAP,
     SIGNS,
     BlockingInterval,
+    BruteForceResult,
     DpResult,
     LilypondEvent,
     _lilypond_distances,
@@ -129,6 +132,102 @@ def test_brute_force_tie_multiplicity():
     assert res.multiplicity == 2
     # smallest in enumeration order (0, +, -) among the two maximizers
     assert res.marks == (SignMark("+"),)
+
+
+def _old_brute_force_optimum(c, model, work_cap=BRUTE_FORCE_CAP):
+    """brute_force_optimum as it was: one with_opt_marks copy per marking."""
+    n = c.n_points
+    if n == 0:
+        return BruteForceResult((), 0.0, 1)
+    candidates = []
+    work = n
+    for i in range(n):
+        cand = model.mark_candidates(c, i)
+        if cand is None:
+            raise ValidationError("brute force needs a finite mark space")
+        if not cand:
+            raise ValidationError(f"point {i} has an empty candidate list")
+        candidates.append(cand)
+        work *= len(cand)
+        if work > work_cap:
+            raise WorkCapError(f"enumeration needs {work} > {work_cap} score evaluations")
+    best_marks = None
+    best_value = NEG_INF
+    multiplicity = 0
+    for marks in itertools.product(*candidates):
+        value = total_window_score(c.with_opt_marks(dict(enumerate(marks))), model)
+        if value == NEG_INF:
+            continue
+        if best_marks is None or value > best_value:
+            best_marks, best_value, multiplicity = marks, value, 1
+        elif value == best_value:
+            multiplicity += 1
+    if best_marks is None:
+        return BruteForceResult(tuple(candidates[i][0] for i in range(n)), NEG_INF, 0)
+    return BruteForceResult(best_marks, best_value, multiplicity)
+
+
+def _grains(dim, side, n, model_id, lo, hi, seed):
+    g = np.random.default_rng(seed)
+    pts = tuple(
+        MarkedPoint(tuple(float(x) for x in g.uniform(0.0, side, dim)),
+                    GrainRadius(float(g.uniform(lo, hi))))
+        for _ in range(n)
+    )
+    return Configuration(periodic_cube(dim, side), model_id, pts)
+
+
+def _colors(*colors):
+    pts = tuple(MarkedPoint((1.5 * k, 0.5 * k), ColorMark(col)) for k, col in enumerate(colors))
+    return Configuration(periodic_cube(2, 10.0), "matching", pts)
+
+
+# name -> (configuration, model, work cap)
+BRUTE_CASES = {
+    "hardcore-1d": (_grains(1, 6.0, 9, "hardcore", 0.2, 0.8, 1), HardcoreModel(), BRUTE_FORCE_CAP),
+    "hardcore-2d": (_grains(2, 3.0, 9, "hardcore", 0.3, 0.8, 2), HardcoreModel(), BRUTE_FORCE_CAP),
+    "hardcore-n1": (_grains(2, 3.0, 1, "hardcore", 0.3, 0.8, 3), HardcoreModel(), BRUTE_FORCE_CAP),
+    "hardcore-n0": (Configuration(periodic_cube(2, 3.0), "hardcore", ()), HardcoreModel(),
+                    BRUTE_FORCE_CAP),
+    "hardcore-tie": (
+        Configuration(periodic_cube(1, 10.0), "hardcore",
+                      (MarkedPoint((3.0,), GrainRadius(1.0)), MarkedPoint((4.0,), GrainRadius(1.0)))),
+        HardcoreModel(), BRUTE_FORCE_CAP),
+    "caching-1d": (_grains(1, 5.0, 5, "caching", 0.5, 1.5, 4), CachingModel(), BRUTE_FORCE_CAP),
+    "caching-2d": (_grains(2, 3.0, 3, "caching", 0.5, 1.0, 5), CachingModel(k_items=2),
+                   BRUTE_FORCE_CAP),
+    "wr_line": (sample_weighted_line(7, 6), WR, BRUTE_FORCE_CAP),
+    "wr_line-n1": (sample_weighted_line(1, 7), WR, BRUTE_FORCE_CAP),
+    "wr_line-tie": (wr_config([(2.0, 2.0), (0.0, 0.0), (1.0, 1.0)]), WR, BRUTE_FORCE_CAP),
+    "wr_tree": (sample_weighted_tree(1, 8), WidomRowlinsonModel(graph="tree"), BRUTE_FORCE_CAP),
+    "matching": (_colors("blue", "red", "red", "blue", "red", "blue"), MatchingModel(),
+                 BRUTE_FORCE_CAP),
+    "matching-inadmissible": (_colors("blue", "red", "red"), MatchingModel(), BRUTE_FORCE_CAP),
+    "matching-no-candidates": (_colors("blue", "blue"), MatchingModel(), BRUTE_FORCE_CAP),
+    "work-cap": (sample_weighted_line(20, 0), WR, BRUTE_FORCE_CAP),
+    "work-cap-small": (sample_weighted_line(4, 0), WR, 4 * 3**4 - 1),
+    "work-cap-exact": (sample_weighted_line(4, 0), WR, 4 * 3**4),
+}
+
+
+def _brute_outcome(brute_force, c, model, work_cap):
+    try:
+        return repr(brute_force(c, model, work_cap))
+    except (ValidationError, WorkCapError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("case", sorted(BRUTE_CASES))
+def test_brute_force_repr_equals_per_marking_copies(case):
+    c, model, work_cap = BRUTE_CASES[case]
+    new = _brute_outcome(brute_force_optimum, c, model, work_cap)
+    assert new == _brute_outcome(_old_brute_force_optimum, c, model, work_cap)
+    if case == "matching-inadmissible":
+        assert new.endswith("value=-inf, multiplicity=0)")
+    if case.endswith("tie"):
+        assert brute_force_optimum(c, model, work_cap).multiplicity > 1
+    if case.startswith("work-cap") and case != "work-cap-exact":
+        assert new.startswith("WorkCapError")
 
 
 # -- blocking intervals -------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# scripts/search_sweep.py is left out: it rewrites the checked-in BENCH file
+# scripts/search_sweep.py and scripts/io_sweep.py are left out: each rewrites a
+# checked-in BENCH file
 SCRIPT_RUNS = {
     "chain_shields": ["--sites", "200", "--draws", "3", "--trials", "3"],
     "run_demo_pipeline": ["--out", "{tmp}"],
