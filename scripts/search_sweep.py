@@ -1,19 +1,28 @@
-"""Scaling sweep of one hard-core local search.
+"""Scaling sweep of one exhaustive local search.
 
-Times one exhaustive ``k_max = 1`` local search on 2-d hard-core grains with
-radii U(0.2, 0.6) at unit intensity, at n of about 80, 800 and 2500 points.
-For each size it records the median over three runs of the total and
-per-round time (a round is one swap scan, so the final scan that finds no
-swap counts too), the time to build the model's interaction graph on a fresh
-configuration, and ``swap_evaluations``.  When the model has an
-``interaction_neighbors`` hook, it also builds the interaction graph of a
-configuration of about 8000 points in a fresh child process and records the
-child's peak RSS and the tracemalloc peak of the build, next to the size of
-an n x n float matrix.
+Times one exhaustive ``k_max = 1`` local search at three sizes each:
+
+- 2-d hard-core grains with radii U(0.2, 0.6) at unit intensity, n of about
+  80, 800 and 8000 points, from all grains deleted;
+- Widom-Rowlinson sign chains (``wr_line``) of 100, 1000 and 10^4 sites,
+  from seeded random signs.
+
+Each run times two parts on a fresh configuration: the build of the
+model's interaction graph, then the search, which reuses that graph.  For
+each size the sweep records the medians over three runs of the total and of
+the build, the number of scans (one per round, and the final scan that
+finds no swap) and ``swap_evaluations``.  ``round_ms`` is the total time per
+scan and ``search_round_ms`` the search time after the build per scan: when
+a round costs its affected sets and not n, it stays flat as n grows.  It
+also builds the hard-core interaction graph of a configuration of about 8000
+points in a fresh child process and records the child's peak RSS and the
+tracemalloc peak of the build, next to the size of an n x n float matrix.
+``--quick`` runs the smallest size of each sweep once, and the child build
+at that size, as a smoke test.
 
 It reads markopt only through its public API, so it runs against any markopt
 source tree on PYTHONPATH.  Results go under ``--label`` into
-BENCH_interaction_graph.json in the working directory; the entries of other
+BENCH_search_rounds.json in the working directory; the entries of other
 labels in that file are kept, so one file can hold the figures of two trees:
 
     PYTHONPATH=<parent>/src python3 scripts/search_sweep.py --label parent
@@ -35,45 +44,46 @@ import tracemalloc
 
 import numpy as np
 
-from markopt.core import Configuration, periodic_cube
+from markopt.core import Configuration, periodic_cube, sample_weighted_line
 from markopt.estimate import sample_configuration
-from markopt.models import HardcoreModel
+from markopt.models import HardcoreModel, WidomRowlinsonModel
 from markopt.optimize import SearchParams, local_search
 
-MODEL = HardcoreModel(radius_lo=0.2, radius_hi=0.6)
+HARDCORE = HardcoreModel(radius_lo=0.2, radius_hi=0.6)
+CHAIN = WidomRowlinsonModel(graph="line")
 SEED = 1
-SIZES = (80, 800, 2500)
 REPEATS = 3
 RSS_N = 8000
-OUT = "BENCH_interaction_graph.json"
+OUT = "BENCH_search_rounds.json"
 
 
 def grains(n: int) -> Configuration:
     """Poisson grains at unit intensity on a square of area n."""
-    return sample_configuration(MODEL, periodic_cube(2, math.sqrt(n)), 1.0, SEED, 0)
+    return sample_configuration(HARDCORE, periodic_cube(2, math.sqrt(n)), 1.0, SEED, 0)
 
 
-def graph_build_s(c: Configuration) -> float | None:
-    """Seconds to build the interaction graph of a fresh copy of c, or None
-    when the model has no such hook."""
-    build = getattr(MODEL, "interaction_neighbors", None)
-    if build is None:
-        return None
-    fresh = Configuration(c.window, c.model_id, c.points)
-    start = time.perf_counter()
-    build(fresh)
-    return time.perf_counter() - start
+# sweep name -> (model, configuration of size n, sizes)
+SWEEPS = {
+    "hardcore": (HARDCORE, grains, (80, 800, 8000)),
+    "wr_line": (CHAIN, lambda n: sample_weighted_line(n, SEED), (100, 1000, 10**4)),
+}
 
 
-def search_point(n: int) -> dict:
-    params = SearchParams(k_max=1, mode="exhaustive")
-    totals, builds = [], []
-    for _ in range(REPEATS):
-        c = grains(n)
+def search_point(model, c: Configuration, repeats: int) -> dict:
+    """Medians of searches on fresh copies of c, each timed in two parts:
+    the interaction-graph build, then the search, which reuses it."""
+    params = SearchParams(k_max=1, mode="exhaustive", seed=SEED)
+    totals, builds, searches = [], [], []
+    for _ in range(repeats):
+        fresh = Configuration(c.window, c.model_id, c.points)
         start = time.perf_counter()
-        _, trace = local_search(c, MODEL, params)
-        totals.append(time.perf_counter() - start)
-        builds.append(graph_build_s(c))
+        model.interaction_neighbors(fresh)
+        built = time.perf_counter()
+        _, trace = local_search(fresh, model, params)
+        end = time.perf_counter()
+        totals.append(end - start)
+        builds.append(built - start)
+        searches.append(end - built)
     total = statistics.median(totals)
     scans = len(trace.steps) + 1
     return {
@@ -82,7 +92,8 @@ def search_point(n: int) -> dict:
         "total_s_runs": totals,
         "rounds": scans,
         "round_ms": total / scans * 1e3,
-        "graph_build_s": None if builds[0] is None else statistics.median(builds),
+        "graph_build_s": statistics.median(builds),
+        "search_round_ms": statistics.median(searches) / scans * 1e3,
         "swap_evaluations": trace.swap_evaluations,
     }
 
@@ -93,7 +104,7 @@ def graph_build_rss(n: int) -> dict:
     before_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     tracemalloc.start()
     start = time.perf_counter()
-    graph = MODEL.interaction_neighbors(c)
+    graph = HARDCORE.interaction_neighbors(c)
     elapsed = time.perf_counter() - start
     _, traced_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -111,18 +122,24 @@ def graph_build_rss(n: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this tree's results")
+    parser.add_argument("--quick", action="store_true",
+                        help="the smallest size of each sweep, one run, as a smoke test")
     args = parser.parse_args()
+    repeats = 1 if args.quick else REPEATS
     entry = {
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "repeats": REPEATS,
-        "search": [search_point(n) for n in SIZES],
+        "repeats": repeats,
     }
-    if hasattr(MODEL, "interaction_neighbors"):
-        # a fresh interpreter, so the peak RSS is the build's and not the sweep's
-        with multiprocessing.get_context("spawn").Pool(1) as pool:
-            entry["graph_build_rss"] = pool.apply(graph_build_rss, (RSS_N,))
+    # a fresh interpreter, so the peak RSS is the build's; it runs first,
+    # since on Linux a child's peak RSS starts from its parent's RSS at the fork
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        rss_n = SWEEPS["hardcore"][2][0] if args.quick else RSS_N
+        entry["graph_build_rss"] = pool.apply(graph_build_rss, (rss_n,))
+    for name, (model, build, sizes) in SWEEPS.items():
+        sizes = sizes[:1] if args.quick else sizes
+        entry[name] = [search_point(model, build(n), repeats) for n in sizes]
     results = {}
     if os.path.exists(OUT):
         with open(OUT) as fh:
@@ -131,9 +148,11 @@ def main() -> None:
     with open(OUT, "w") as fh:
         json.dump(results, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    for point in entry["search"]:
-        print(f"{args.label} n={point['n']}: {point['total_s']:.3f} s, "
-              f"{point['round_ms']:.3f} ms/round, {point['swap_evaluations']} swap evaluations")
+    for name in SWEEPS:
+        for point in entry[name]:
+            print(f"{args.label} {name} n={point['n']}: {point['total_s']:.3f} s, "
+                  f"{point['search_round_ms']:.3f} ms/round after the graph build, "
+                  f"{point['swap_evaluations']} swap evaluations")
 
 
 if __name__ == "__main__":

@@ -388,6 +388,8 @@ class Configuration:
                 if not isinstance(pos, tuple) or len(pos) != self.window.dim:
                     raise ValidationError(f"bad cube position {pos!r}")
                 for c in pos:
+                    if isinstance(c, bool):
+                        raise ValidationError(f"coordinate {c!r} is a bool, not a number")
                     if not (0.0 <= c < self.window.side):
                         raise ValidationError(f"coordinate {c} outside [0, {self.window.side})")
                 if pos in seen:
@@ -400,6 +402,8 @@ class Configuration:
                     f"graph window expects one point per site ({n}), got {len(self.points)}"
                 )
             for site, p in enumerate(self.points):
+                if isinstance(p.position, bool):
+                    raise ValidationError(f"site {p.position!r} is a bool, not an int")
                 if p.position != site:
                     raise ValidationError(
                         f"graph configurations list sites in order, got {p.position} at {site}"

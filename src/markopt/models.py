@@ -16,6 +16,7 @@ pipeline.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -82,29 +83,36 @@ def _base_mark(c: Configuration, i: int, cls: type):
 _CONTACT_BLOCK = 1 << 16
 
 
+def _build_grain_contacts(c: Configuration, closed: bool):
+    radii = np.array([_base_mark(c, i, GrainRadius).radius for i in range(c.n_points)])
+    pos, neighbors, distances = positions_array(c), [], []
+    step = max(1, _CONTACT_BLOCK // max(c.n_points, 1))
+    for lo in range(0, c.n_points, step):
+        d = torus_cross_distances(c.window, pos[lo : lo + step], pos)
+        reach = radii[lo : lo + step, None] + radii + GEOM_TOL
+        near = d <= reach if closed else d < reach
+        near[np.arange(len(near)), np.arange(lo, lo + len(near))] = False
+        rows, cols = np.nonzero(near)
+        js, ds, start = cols.tolist(), d[rows, cols].tolist(), 0
+        for count in np.bincount(rows, minlength=len(near)).tolist():
+            neighbors.append(tuple(js[start : start + count]))
+            distances.append(tuple(ds[start : start + count]))
+            start += count
+    return neighbors, distances
+
+
+# closed -> (derived cache key, build), made once so a call makes no closure
+_GRAIN_CONTACT_BUILDS = {
+    closed: (("grain-contacts", closed), functools.partial(_build_grain_contacts, closed=closed))
+    for closed in (False, True)
+}
+
+
 def grain_contacts(c: Configuration, closed: bool):
     """Per point, the other points j at torus distance d < r_i + r_j + GEOM_TOL
     (<= when closed), ascending, and those d: tuples in two lists, built once
     per configuration family from ``torus_cross_distances``."""
-
-    def build(c: Configuration):
-        radii = np.array([_base_mark(c, i, GrainRadius).radius for i in range(c.n_points)])
-        pos, neighbors, distances = positions_array(c), [], []
-        step = max(1, _CONTACT_BLOCK // max(c.n_points, 1))
-        for lo in range(0, c.n_points, step):
-            d = torus_cross_distances(c.window, pos[lo : lo + step], pos)
-            reach = radii[lo : lo + step, None] + radii + GEOM_TOL
-            near = d <= reach if closed else d < reach
-            near[np.arange(len(near)), np.arange(lo, lo + len(near))] = False
-            rows, cols = np.nonzero(near)
-            js, ds, start = cols.tolist(), d[rows, cols].tolist(), 0
-            for count in np.bincount(rows, minlength=len(near)).tolist():
-                neighbors.append(tuple(js[start : start + count]))
-                distances.append(tuple(ds[start : start + count]))
-                start += count
-        return neighbors, distances
-
-    return c.derived(("grain-contacts", closed), build)
+    return c.derived(*_GRAIN_CONTACT_BUILDS[closed])
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +337,12 @@ class ScoreModel:
         pass
 
 
+# marks are immutable, so every point can share one candidate tuple: a search
+# then builds no marks of its own, and its points read a few hot objects
+_RETAIN_CANDIDATES = (Retain(False), Retain(True))
+_SIGN_CANDIDATES = (SignMark("0"), SignMark("+"), SignMark("-"))
+
+
 @dataclass(frozen=True)
 class HardcoreModel(ScoreModel):
     kind, sign_regime = "hardcore", "nonneg"
@@ -342,7 +356,7 @@ class HardcoreModel(ScoreModel):
         return Retain(False)
 
     def mark_candidates(self, c: Configuration, i: int) -> tuple[OptMark, ...]:
-        return (Retain(False), Retain(True))
+        return _RETAIN_CANDIDATES
 
     def sample_mark(self, c: Configuration, i: int, g: np.random.Generator) -> OptMark:
         return Retain(bool(g.integers(0, 2)))
@@ -356,6 +370,10 @@ class HardcoreModel(ScoreModel):
     def validate_for_window(self, window: Window) -> None:
         if window.kind != "cube" or window.dim not in (1, 2):
             raise ValidationError("hardcore needs a cube window of dim 1 or 2")
+
+
+def _graph_adjacency(c: Configuration) -> tuple[tuple[int, ...], ...]:
+    return tuple(graph_neighbors(c.window, i) for i in range(c.n_points))
 
 
 @dataclass(frozen=True)
@@ -382,22 +400,20 @@ class WidomRowlinsonModel(ScoreModel):
         if sign == "0":
             return 0.0
         opposite = "-" if sign == "+" else "+"
-        for j in graph_neighbors(c.window, i):
+        for j in self.interaction_neighbors(c)[i]:
             if _opt_mark(c, j, SignMark).sign == opposite:
                 return NEG_INF
         weights = _base_mark(c, i, WeightPair)
         return weights.w_plus if sign == "+" else weights.w_minus
 
     def mark_candidates(self, c: Configuration, i: int) -> tuple[OptMark, ...]:
-        return (SignMark("0"), SignMark("+"), SignMark("-"))
+        return _SIGN_CANDIDATES
 
     def sample_mark(self, c: Configuration, i: int, g: np.random.Generator) -> OptMark:
         return SignMark(("0", "+", "-")[int(g.integers(0, 3))])
 
     def interaction_neighbors(self, c: Configuration) -> tuple[tuple[int, ...], ...]:
-        return c.derived(
-            "graph", lambda c: tuple(graph_neighbors(c.window, i) for i in range(c.n_points))
-        )
+        return c.derived("graph", _graph_adjacency)
 
     def validate_for_window(self, window: Window) -> None:
         if window.kind != self.graph:

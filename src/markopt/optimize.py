@@ -11,13 +11,18 @@ the result, and randomized proposal sampling otherwise.
 ``local_search`` applies the best single swap per round.  It keeps every
 point's score across rounds, and in exhaustive mode each swap set's best
 gain; after an accepted swap it rescores only the points that swap affects
-and re-evaluates only the swap sets whose affected sets meet them.
+and re-evaluates only the swap sets whose affected sets meet them.  In
+exhaustive mode two heaps pick the next swap, so a round costs about its
+affected sets, not the number of points.  The trace records each accepted
+swap's points, new marks and gain, not the window total after it: a total
+is one ``total_window_score`` over the replayed marks.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .core import (
     Configuration,
@@ -83,8 +88,8 @@ class SearchParams:
 class TraceStep:
     round_index: int
     indices: tuple[int, ...]
+    new_marks: tuple[OptMark, ...]
     gain: float
-    total_after: float
 
 
 @dataclass
@@ -147,11 +152,18 @@ class _SearchState:
     It holds the checked score of every point.  In exhaustive mode it also
     holds every swap set (index combination, in enumeration order) with its
     affected set, a reverse index from each point to the sets whose affected
-    set contains it, and each set's best ``(gain, swap)``.  Affected sets do
-    not depend on opt marks, so a set's gains can only change when an
-    accepted swap rescores a point of its affected set: ``accept`` marks
-    exactly those sets stale and ``find`` refills them lazily, in
-    enumeration order.
+    set contains it, and each fresh set's best gain and new points.
+    Affected sets do not depend on opt marks, so a set's gains can only
+    change when an accepted swap rescores a point of its affected set:
+    ``accept`` marks exactly those sets stale.  Two heaps order the sets, so
+    that a round costs the sets it refills and not their number: a min-heap
+    of stale set indices, and a max-heap keyed by ``(-gain, set index)`` of
+    the fresh sets that could be returned (gain +inf or above delta_min),
+    whose entries are dropped lazily once their set goes stale.  ``find``
+    refills stale sets in index order only as far as a scan over all sets
+    in enumeration order would, so it evaluates the same gains and returns
+    the same swap: the first set of gain +inf, else the first of the
+    highest gain.
     """
 
     def __init__(self, c: Configuration, model: ScoreModel, params: SearchParams) -> None:
@@ -171,12 +183,14 @@ class _SearchState:
 
     def _index_swap_sets(self, c: Configuration) -> None:
         model, params = self.model, self.params
-        self.options: dict[int, list[tuple[OptMark, MarkedPoint]]] = {}
+        # each pool point with every candidate mark, in candidate order
+        self.options: dict[int, list[MarkedPoint]] = {}
         for i in self.pool:
             cand = model.mark_candidates(c, i)
             if cand is None:
                 raise ValidationError("exhaustive search needs a finite mark space")
-            self.options[i] = [(m, replace(c.points[i], opt=m)) for m in cand]
+            p = c.points[i]
+            self.options[i] = [MarkedPoint(p.position, p.base, m) for m in cand]
         k_max = min(params.k_max, len(self.pool))
         self.combos = [
             combo
@@ -188,7 +202,11 @@ class _SearchState:
         for s, affected in enumerate(self.affected):
             for j in affected:
                 self.sets_at.setdefault(j, []).append(s)
-        self.best: list[tuple[float, SwapProposal | None] | None] = [None] * len(self.combos)
+        # per set its best (gain, new points), None while stale
+        self.best: list[tuple[float, tuple[MarkedPoint, ...] | None] | None]
+        self.best = [None] * len(self.combos)
+        self.stale = list(range(len(self.combos)))  # sorted, so already a heap
+        self.fresh: list[tuple[float, int]] = []
 
     def configuration(self) -> Configuration:
         return _replace_points(self.view, tuple(self.points))
@@ -204,57 +222,125 @@ class _SearchState:
         """Apply the swap, rescore the points it affects and return its gain."""
         model, points, scores = self.model, self.points, self.scores
         for i, mark in zip(swap.indices, swap.new_marks):
-            points[i] = replace(points[i], opt=mark)
+            p = points[i]
+            points[i] = MarkedPoint(p.position, p.base, mark)
         affected = model.affected_points(self.view, swap.indices)
         after = [model.checked_score_at(self.view, j) for j in affected]
         gain = sum_score_diffs(score_diff(a, scores[j]) for j, a in zip(affected, after))
         for j, a in zip(affected, after):
             scores[j] = a
         if self.exhaustive:
+            best, stale, sets_at = self.best, self.stale, self.sets_at
             for j in affected:
-                for s in self.sets_at.get(j, ()):
-                    self.best[s] = None
+                for s in sets_at.get(j, ()):
+                    if best[s] is not None:
+                        best[s] = None
+                        heapq.heappush(stale, s)
         return gain
 
-    def _gain(
-        self, combo: tuple[int, ...], new_points: list[MarkedPoint], affected: tuple[int, ...]
-    ) -> float:
-        """Gain of putting new_points at combo, over the cached scores."""
+    def _gain(self, affected: tuple[int, ...]) -> float:
+        """Gain of the current points over the cached scores, with the
+        conventions of ``sum_score_diffs``: -inf as soon as a point breaks,
+        else +inf if a point is repaired, else the left-to-right sum."""
         self.evaluations += 1
-        points, score_at, view, before = self.points, self.model.score_at, self.view, self.scores
-        saved = [points[i] for i in combo]
-        for i, p in zip(combo, new_points):
-            points[i] = p
-        gain = sum_score_diffs(score_diff(score_at(view, j), before[j]) for j in affected)
-        for i, p in zip(combo, saved):
-            points[i] = p
-        return gain
+        score_at, view, before = self.model.score_at, self.view, self.scores
+        gain, repaired = 0.0, False
+        for j in affected:
+            after = score_at(view, j)
+            old = before[j]
+            # an equal pair would add 0.0, which cannot change the sum: it is never -0.0
+            if after != old:
+                if after == NEG_INF:
+                    return NEG_INF
+                if old == NEG_INF:
+                    repaired = True
+                else:
+                    gain += after - old
+        return POS_INF if repaired else gain
+
+    def _top_fresh(self) -> tuple[float, int] | None:
+        """The fresh set of highest gain, lowest index first, dropping the
+        heap entries of sets that went stale or were refilled since."""
+        fresh, best = self.fresh, self.best
+        while fresh:
+            key, s = fresh[0]
+            entry = best[s]
+            if entry is not None and entry[0] == -key:
+                return -key, s
+            heapq.heappop(fresh)
+        return None
 
     def _find_exhaustive(self) -> SwapProposal | None:
-        best_gain = self.params.delta_min
-        best: SwapProposal | None = None
-        for s, entry in enumerate(self.best):
-            if entry is None:
-                entry = self.best[s] = self._best_in_set(s)
-            gain, swap = entry
+        stale, best = self.stale, self.best
+        top = self._top_fresh()
+        # the first fresh set with gain +inf, or past the last set
+        stop = top[1] if top is not None and top[0] == POS_INF else len(best)
+        while stale and stale[0] < stop:
+            s = heapq.heappop(stale)
+            gain, _ = best[s] = self._best_in_set(s)
+            # only a set of gain +inf or above delta_min can ever be returned
+            if gain == POS_INF or gain > self.params.delta_min:
+                heapq.heappush(self.fresh, (-gain, s))
             if gain == POS_INF:
-                return swap
-            if gain > best_gain:
-                best_gain, best = gain, swap
-        return best
+                return self._proposal(s)
+        if stop < len(best):
+            return self._proposal(stop)
+        top = self._top_fresh()
+        if top is not None and top[0] > self.params.delta_min:
+            return self._proposal(top[1])
+        return None
 
-    def _best_in_set(self, s: int) -> tuple[float, SwapProposal | None]:
+    def _proposal(self, s: int) -> SwapProposal:
+        return SwapProposal(self.combos[s], tuple(p.opt for p in self.best[s][1]))
+
+    def _best_in_set(self, s: int) -> tuple[float, tuple[MarkedPoint, ...] | None]:
         """First highest gain over the set's mark choices, stopping at +inf."""
         combo, affected, points = self.combos[s], self.affected[s], self.points
-        choices = [[o for o in self.options[i] if o[0] != points[i].opt] for i in combo]
-        best_gain, best_marks = NEG_INF, None
+        best_gain, best_points = NEG_INF, None
+        if len(combo) == 1:
+            i = combo[0]
+            current = points[i]
+            score_at, view, before = self.model.score_at, self.view, self.scores
+            for q in self.options[i]:
+                if q.opt == current.opt:
+                    continue
+                # _gain, inlined, since this loop is the search's hot path
+                self.evaluations += 1
+                points[i] = q
+                gain, repaired = 0.0, False
+                for j in affected:
+                    after = score_at(view, j)
+                    old = before[j]
+                    if after != old:
+                        if after == NEG_INF:
+                            gain = NEG_INF
+                            break
+                        if old == NEG_INF:
+                            repaired = True
+                        else:
+                            gain += after - old
+                else:
+                    if repaired:
+                        gain = POS_INF
+                if gain > best_gain:
+                    best_gain, best_points = gain, (q,)
+                    if gain == POS_INF:
+                        break
+            points[i] = current
+            return best_gain, best_points
+        saved = [points[i] for i in combo]
+        choices = [[q for q in self.options[i] if q.opt != p.opt] for i, p in zip(combo, saved)]
         for choice in itertools.product(*choices):
-            gain = self._gain(combo, [p for _, p in choice], affected)
+            for i, q in zip(combo, choice):
+                points[i] = q
+            gain = self._gain(affected)
             if gain > best_gain:
-                best_gain, best_marks = gain, tuple(m for m, _ in choice)
+                best_gain, best_points = gain, choice
                 if gain == POS_INF:
                     break
-        return best_gain, None if best_marks is None else SwapProposal(combo, best_marks)
+        for i, p in zip(combo, saved):
+            points[i] = p
+        return best_gain, best_points
 
     def _find_randomized(self, stream: int) -> SwapProposal | None:
         model, params, pool, points, view = (
@@ -279,8 +365,13 @@ class _SearchState:
                         marks.append(current)
                         continue
                     marks.append(alts[int(g.integers(0, len(alts)))])
-            new_points = [replace(points[i], opt=m) for i, m in zip(combo, marks)]
-            gain = self._gain(combo, new_points, model.affected_points(view, combo))
+            affected = model.affected_points(view, combo)
+            saved = [points[i] for i in combo]
+            for i, p, m in zip(combo, saved, marks):
+                points[i] = MarkedPoint(p.position, p.base, m)
+            gain = self._gain(affected)
+            for i, p in zip(combo, saved):
+                points[i] = p
             if gain == POS_INF:
                 return SwapProposal(combo, tuple(marks))
             if gain > best_gain:
@@ -334,8 +425,8 @@ def local_search(
 
     Stops when no swap clears delta_min (certified "locally-optimal-k{k}"
     when the scan was exhaustive, "uncertified" otherwise) or when max_rounds
-    is hit.  The trace records every accepted swap, its gain, and the running
-    total, which is strictly increasing whenever finite.
+    is hit.  The trace records every accepted swap with its gain; replaying
+    the swaps gives window totals that strictly increase whenever finite.
     """
     c = initialize_marks(c, model, params)
     state = _SearchState(c, model, params)
@@ -350,6 +441,6 @@ def local_search(
             )
             break
         gain = state.accept(swap)
-        trace.steps.append(TraceStep(round_index, swap.indices, gain, total_score(state.scores)))
+        trace.steps.append(TraceStep(round_index, swap.indices, swap.new_marks, gain))
     trace.swap_evaluations = state.evaluations
     return state.configuration(), trace

@@ -298,6 +298,19 @@ def test_graph_configuration_site_positions():
         Configuration(w, "wr_line", (MarkedPoint(position=3, base=WeightPair(1, 2)),))
 
 
+@pytest.mark.parametrize("window, position", [
+    (integer_line(2), True),  # True == 1 would pass as site 1
+    (periodic_cube(1, 5.0), (True,)),  # and as coordinate 1.0
+    (periodic_cube(2, 5.0), (2.0, False)),
+])
+def test_configuration_refuses_bool_positions(window, position):
+    """A bool position would be dumped as true/false, which no reader loads."""
+    first = 0 if window.kind == "line" else tuple(0.5 for _ in position)
+    points = (MarkedPoint(first), MarkedPoint(position))
+    with pytest.raises(ValidationError, match="bool"):
+        Configuration(window, "wr_line" if window.kind == "line" else "hardcore", points)
+
+
 def test_mark_value_validation():
     with pytest.raises(ValidationError):
         GrainRadius(-0.5)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -46,7 +47,7 @@ from markopt.optimize import (
     score_difference,
     total_window_score,
 )
-from markopt import exact
+from markopt import exact, optimize
 
 WR = WidomRowlinsonModel(graph="line")
 
@@ -169,6 +170,15 @@ def test_search_params_validation():
     assert SearchParams(indices=(1, 3, 5)).indices == (1, 3, 5)
 
 
+def replayed_totals(c, model, trace):
+    """The window total after each step of the trace, replayed from c."""
+    totals = []
+    for step in trace.steps:
+        c = c.with_opt_marks(dict(zip(step.indices, step.new_marks)))
+        totals.append(total_window_score(c, model))
+    return totals
+
+
 def test_local_search_fixed_at_optimum():
     c = sample_weighted_line(6, 13)
     best = exact.brute_force_optimum(c, WR)
@@ -183,9 +193,10 @@ def test_local_search_reaches_brute_value():
     for seed in range(5):
         c = sample_weighted_line(10, seed)
         best = exact.brute_force_optimum(c, WR)
-        final, trace = local_search(c, WR, SearchParams(k_max=10, seed=seed))
+        params = SearchParams(k_max=10, seed=seed)
+        final, trace = local_search(c, WR, params)
         assert total_window_score(final, WR) == pytest.approx(best.value, abs=1e-12)
-        totals = [trace.initial_total] + [s.total_after for s in trace.steps]
+        totals = [trace.initial_total] + replayed_totals(initialize_marks(c, WR, params), WR, trace)
         finite = [t for t in totals if math.isfinite(t)]
         assert finite == sorted(finite)
         assert all(x < y for x, y in zip(finite, finite[1:]))
@@ -418,9 +429,168 @@ def test_local_search_matches_full_rescan(case, seed):
     )
     final, trace = local_search(c, model, params)
     assert repr(trace.initial_total) == repr(ref_initial)
-    assert [(s.indices, repr(s.gain), repr(s.total_after)) for s in trace.steps] == ref_steps
+    totals = replayed_totals(initialize_marks(c, model, params), model, trace)
+    steps = [(s.indices, repr(s.gain), repr(t)) for s, t in zip(trace.steps, totals)]
+    assert steps == ref_steps
     assert trace.certificate == ref_certificate
     assert repr([p.opt for p in final.points]) == repr([p.opt for p in ref_final.points])
+
+
+# -- reference swap-set scan --------------------------------------------------
+#
+# The exhaustive search state before its heaps: each round walks every swap
+# set's cached best gain in enumeration order, refilling stale sets on the
+# way, and returns the first +inf or else the first highest gain.  The heaps
+# must give the same swaps, gains and swap_evaluations.
+
+
+class ScanState(optimize._SearchState):
+    def accept(self, swap):
+        model, points, scores = self.model, self.points, self.scores
+        for i, mark in zip(swap.indices, swap.new_marks):
+            points[i] = replace(points[i], opt=mark)
+        affected = model.affected_points(self.view, swap.indices)
+        after = [model.checked_score_at(self.view, j) for j in affected]
+        gain = sum_score_diffs(score_diff(a, scores[j]) for j, a in zip(affected, after))
+        for j, a in zip(affected, after):
+            scores[j] = a
+        for j in affected:
+            for s in self.sets_at.get(j, ()):
+                self.best[s] = None
+        return gain
+
+    def _scan_gain(self, combo, new_points, affected):
+        self.evaluations += 1
+        points, score_at, view, before = self.points, self.model.score_at, self.view, self.scores
+        saved = [points[i] for i in combo]
+        for i, p in zip(combo, new_points):
+            points[i] = p
+        gain = sum_score_diffs(score_diff(score_at(view, j), before[j]) for j in affected)
+        for i, p in zip(combo, saved):
+            points[i] = p
+        return gain
+
+    def _find_exhaustive(self):
+        best_gain = self.params.delta_min
+        best = None
+        for s, entry in enumerate(self.best):
+            if entry is None:
+                entry = self.best[s] = self._best_in_set(s)
+            gain, swap = entry
+            if gain == POS_INF:
+                return swap
+            if gain > best_gain:
+                best_gain, best = gain, swap
+        return best
+
+    def _best_in_set(self, s):
+        combo, affected, points = self.combos[s], self.affected[s], self.points
+        choices = [
+            [(q.opt, q) for q in self.options[i] if q.opt != points[i].opt] for i in combo
+        ]
+        best_gain, best_marks = NEG_INF, None
+        for choice in itertools.product(*choices):
+            gain = self._scan_gain(combo, [p for _, p in choice], affected)
+            if gain > best_gain:
+                best_gain, best_marks = gain, tuple(m for m, _ in choice)
+                if gain == POS_INF:
+                    break
+        return best_gain, None if best_marks is None else SwapProposal(combo, best_marks)
+
+
+HC_EQUAL = HardcoreModel(radius_lo=0.4, radius_hi=0.4)
+
+# case -> seed -> (configuration, model, search parameters); equal radii and
+# equal weights make ties, random and all-retained marks make +inf repairs
+SCAN_CASES = {
+    "wr_line-random-k1": lambda s: (
+        _random_marks(WR, sample_weighted_line(60, s), s), WR, SearchParams(k_max=1, **EXHAUSTIVE)
+    ),
+    "wr_line-random-k2": lambda s: (
+        _random_marks(WR, sample_weighted_line(14, s), s), WR, SearchParams(k_max=2, **EXHAUSTIVE)
+    ),
+    "wr_line-equal-weights": lambda s: (
+        _random_marks(WR, sample_weighted_line(40, s, lo=0.5, hi=0.5), s),
+        WR,
+        SearchParams(k_max=1, **EXHAUSTIVE),
+    ),
+    "wr_line-delta-min": lambda s: (
+        sample_weighted_line(40, s), WR, SearchParams(k_max=1, delta_min=0.3, **EXHAUSTIVE)
+    ),
+    "wr_line-restricted": lambda s: (
+        _random_marks(WR, sample_weighted_line(20, s), s),
+        WR,
+        SearchParams(k_max=2, indices=(2, 3, 4, 8, 9, 15), **EXHAUSTIVE),
+    ),
+    "wr_tree-k1": lambda s: (
+        _random_marks(WR_TREE, sample_weighted_tree(3, s), s),
+        WR_TREE,
+        SearchParams(k_max=1, **EXHAUSTIVE),
+    ),
+    "wr_tree-k2": lambda s: (
+        _random_marks(WR_TREE, sample_weighted_tree(2, s), s),
+        WR_TREE,
+        SearchParams(k_max=2, **EXHAUSTIVE),
+    ),
+    "hardcore-1d-retain-k2": lambda s: (
+        _grains(HC, 1, 16.0, 1.5, s, True), HC, SearchParams(k_max=2, **EXHAUSTIVE)
+    ),
+    "hardcore-1d-equal-k1": lambda s: (
+        _grains(HC_EQUAL, 1, 30.0, 1.5, s), HC_EQUAL, SearchParams(k_max=1, **EXHAUSTIVE)
+    ),
+    "hardcore-2d-retain-k1": lambda s: (
+        _grains(HC, 2, 7.0, 1.0, s, True), HC, SearchParams(k_max=1, **EXHAUSTIVE)
+    ),
+    "hardcore-2d-equal-k2": lambda s: (
+        _grains(HC_EQUAL, 2, 4.0, 1.0, s, True), HC_EQUAL, SearchParams(k_max=2, **EXHAUSTIVE)
+    ),
+    "hardcore-2d-delta-min": lambda s: (
+        _grains(HC, 2, 7.0, 1.0, s), HC, SearchParams(k_max=1, delta_min=0.5, **EXHAUSTIVE)
+    ),
+    "hardcore-2d-restricted": lambda s: (
+        _grains(HC, 2, 6.0, 1.0, s, True),
+        HC,
+        SearchParams(k_max=2, indices=tuple(range(0, 20, 2)), **EXHAUSTIVE),
+    ),
+    "caching-1d": lambda s: (
+        _grains(CACHING, 1, 8.0, 1.5, s), CACHING, SearchParams(k_max=1, seed=s, **EXHAUSTIVE)
+    ),
+    "caching-1d-k2": lambda s: (
+        _grains(CACHING, 1, 4.0, 1.5, s), CACHING, SearchParams(k_max=2, seed=s, **EXHAUSTIVE)
+    ),
+    "matching": lambda s: (
+        _random_marks(MATCHING, _grains(MATCHING, 2, 3.0, 1.0, s), s),
+        MATCHING,
+        SearchParams(k_max=2, **EXHAUSTIVE),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_heap_selection_matches_set_scan(case, seed, monkeypatch):
+    c, model, params = SCAN_CASES[case](seed)
+    final, trace = local_search(c, model, params)
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_SearchState", ScanState)
+        ref_final, ref_trace = local_search(c, model, params)
+    assert ref_trace.steps, "the case makes no swap"
+
+    def steps(t):
+        return [(s.indices, s.new_marks, repr(s.gain)) for s in t.steps]
+
+    assert steps(trace) == steps(ref_trace)
+    assert trace.certificate == ref_trace.certificate
+    assert trace.swap_evaluations == ref_trace.swap_evaluations
+    assert repr(trace.initial_total) == repr(ref_trace.initial_total)
+    assert repr([p.opt for p in final.points]) == repr([p.opt for p in ref_final.points])
+    # two scans with no swap accepted between them: the second reads the cache
+    start = initialize_marks(c, model, params)
+    scans = []
+    for cls in (optimize._SearchState, ScanState):
+        state = cls(start, model, params)
+        scans.append((state.find(0), state.find(1), state.evaluations))
+    assert scans[0] == scans[1]
 
 
 def test_swap_evaluations_counted():

@@ -1,5 +1,6 @@
-"""The demo scripts run to completion on small inputs."""
+"""The demo and sweep scripts run to completion on small inputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,12 +9,19 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# scripts/search_sweep.py and scripts/io_sweep.py are left out: each rewrites a
-# checked-in BENCH file
+# each script runs with the test's tmp_path as working directory, so a sweep
+# writes its BENCH file there and not over the checked-in one
 SCRIPT_RUNS = {
     "chain_shields": ["--sites", "200", "--draws", "3", "--trials", "3"],
     "run_demo_pipeline": ["--out", "{tmp}"],
     "stabilization_tails": ["--replicates", "5"],
+    "search_sweep": ["--label", "smoke", "--quick"],
+    "io_sweep": ["--label", "smoke"],
+}
+# sweep script -> the BENCH file it writes and the keys of its entry
+BENCH_FILES = {
+    "search_sweep": ("BENCH_search_rounds.json", {"hardcore", "wr_line", "graph_build_rss"}),
+    "io_sweep": ("BENCH_config_io.json", {"io"}),
 }
 
 
@@ -26,3 +34,9 @@ def test_script_exits_0(tmp_path, script):
     run = subprocess.run([sys.executable, path, *args], env=env, cwd=tmp_path,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
+    if script in BENCH_FILES:
+        name, keys = BENCH_FILES[script]
+        with open(tmp_path / name) as fh:
+            results = json.load(fh)
+        assert set(results) == {"smoke"}
+        assert keys <= set(results["smoke"])
