@@ -17,8 +17,6 @@ a round costs its affected sets and not n, it stays flat as n grows.  It
 also builds the hard-core interaction graph of a configuration of about 8000
 points in a fresh child process and records the child's peak RSS and the
 tracemalloc peak of the build, next to the size of an n x n float matrix.
-``--quick`` runs the smallest size of each sweep once, and the child build
-at that size, as a smoke test.
 
 It reads markopt only through its public API, so it runs against any markopt
 source tree on PYTHONPATH.  Results go under ``--label`` into
@@ -69,12 +67,12 @@ SWEEPS = {
 }
 
 
-def search_point(model, c: Configuration, repeats: int) -> dict:
+def search_point(model, c: Configuration) -> dict:
     """Medians of searches on fresh copies of c, each timed in two parts:
     the interaction-graph build, then the search, which reuses it."""
     params = SearchParams(k_max=1, mode="exhaustive", seed=SEED)
     totals, builds, searches = [], [], []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         fresh = Configuration(c.window, c.model_id, c.points)
         start = time.perf_counter()
         model.interaction_neighbors(fresh)
@@ -122,24 +120,19 @@ def graph_build_rss(n: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this tree's results")
-    parser.add_argument("--quick", action="store_true",
-                        help="the smallest size of each sweep, one run, as a smoke test")
     args = parser.parse_args()
-    repeats = 1 if args.quick else REPEATS
     entry = {
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "repeats": repeats,
+        "repeats": REPEATS,
     }
     # a fresh interpreter, so the peak RSS is the build's; it runs first,
     # since on Linux a child's peak RSS starts from its parent's RSS at the fork
     with multiprocessing.get_context("spawn").Pool(1) as pool:
-        rss_n = SWEEPS["hardcore"][2][0] if args.quick else RSS_N
-        entry["graph_build_rss"] = pool.apply(graph_build_rss, (rss_n,))
+        entry["graph_build_rss"] = pool.apply(graph_build_rss, (RSS_N,))
     for name, (model, build, sizes) in SWEEPS.items():
-        sizes = sizes[:1] if args.quick else sizes
-        entry[name] = [search_point(model, build(n), repeats) for n in sizes]
+        entry[name] = [search_point(model, build(n)) for n in sizes]
     results = {}
     if os.path.exists(OUT):
         with open(OUT) as fh:

@@ -101,18 +101,18 @@ def _build_grain_contacts(c: Configuration, closed: bool):
     return neighbors, distances
 
 
-# closed -> (derived cache key, build), made once so a call makes no closure
-_GRAIN_CONTACT_BUILDS = {
-    closed: (("grain-contacts", closed), functools.partial(_build_grain_contacts, closed=closed))
-    for closed in (False, True)
-}
+# the open and the closed build, indexed by closed
+_GRAIN_CONTACT_BUILDS = (
+    functools.partial(_build_grain_contacts, closed=False),
+    functools.partial(_build_grain_contacts, closed=True),
+)
 
 
 def grain_contacts(c: Configuration, closed: bool):
     """Per point, the other points j at torus distance d < r_i + r_j + GEOM_TOL
     (<= when closed), ascending, and those d: tuples in two lists, built once
     per configuration family from ``torus_cross_distances``."""
-    return c.derived(*_GRAIN_CONTACT_BUILDS[closed])
+    return c.derived(("grain-contacts", closed), _GRAIN_CONTACT_BUILDS[closed])
 
 
 # ---------------------------------------------------------------------------

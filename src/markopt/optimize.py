@@ -298,30 +298,14 @@ class _SearchState:
         combo, affected, points = self.combos[s], self.affected[s], self.points
         best_gain, best_points = NEG_INF, None
         if len(combo) == 1:
+            # a point's options directly, without a product tuple per choice
             i = combo[0]
             current = points[i]
-            score_at, view, before = self.model.score_at, self.view, self.scores
             for q in self.options[i]:
                 if q.opt == current.opt:
                     continue
-                # _gain, inlined, since this loop is the search's hot path
-                self.evaluations += 1
                 points[i] = q
-                gain, repaired = 0.0, False
-                for j in affected:
-                    after = score_at(view, j)
-                    old = before[j]
-                    if after != old:
-                        if after == NEG_INF:
-                            gain = NEG_INF
-                            break
-                        if old == NEG_INF:
-                            repaired = True
-                        else:
-                            gain += after - old
-                else:
-                    if repaired:
-                        gain = POS_INF
+                gain = self._gain(affected)
                 if gain > best_gain:
                     best_gain, best_points = gain, (q,)
                     if gain == POS_INF:

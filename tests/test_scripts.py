@@ -15,7 +15,7 @@ SCRIPT_RUNS = {
     "chain_shields": ["--sites", "200", "--draws", "3", "--trials", "3"],
     "run_demo_pipeline": ["--out", "{tmp}"],
     "stabilization_tails": ["--replicates", "5"],
-    "search_sweep": ["--label", "smoke", "--quick"],
+    "search_sweep": ["--label", "smoke"],
     "io_sweep": ["--label", "smoke"],
 }
 # sweep script -> the BENCH file it writes and the keys of its entry
