@@ -20,15 +20,11 @@ in that file are kept, so one file can hold the figures of two trees:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
-import platform
 import statistics
 import tempfile
 import time
-
-import numpy as np
 
 from markopt import (
     Configuration,
@@ -41,6 +37,8 @@ from markopt import (
     sample_poisson_configuration,
     sample_weighted_line,
 )
+
+from bench_file import write_bench
 
 MODEL = HardcoreModel(radius_lo=0.2, radius_hi=0.6)
 SEED = 1
@@ -96,21 +94,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "configuration.json")
         points = [io_point(kind, c, path) for kind, c in cases]
-    entry = {
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "repeats": REPEATS,
-        "io": points,
-    }
-    results = {}
-    if os.path.exists(OUT):
-        with open(OUT) as fh:
-            results = json.load(fh)
-    results[args.label] = entry
-    with open(OUT, "w") as fh:
-        json.dump(results, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_bench(OUT, args.label, {"repeats": REPEATS, "io": points})
     for point in points:
         print(f"{args.label} {point['kind']} n={point['n']}: dump {point['dump_us']:.0f} us, "
               f"load {point['load_us']:.0f} us, {point['bytes']} bytes")

@@ -30,22 +30,19 @@ labels in that file are kept, so one file can hold the figures of two trees:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import multiprocessing
-import os
-import platform
 import resource
 import statistics
 import time
 import tracemalloc
 
-import numpy as np
-
 from markopt.core import Configuration, periodic_cube, sample_weighted_line
 from markopt.estimate import sample_configuration
 from markopt.models import HardcoreModel, WidomRowlinsonModel
 from markopt.optimize import SearchParams, local_search
+
+from bench_file import write_bench
 
 HARDCORE = HardcoreModel(radius_lo=0.2, radius_hi=0.6)
 CHAIN = WidomRowlinsonModel(graph="line")
@@ -121,26 +118,14 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this tree's results")
     args = parser.parse_args()
-    entry = {
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "repeats": REPEATS,
-    }
+    entry = {"repeats": REPEATS}
     # a fresh interpreter, so the peak RSS is the build's; it runs first,
     # since on Linux a child's peak RSS starts from its parent's RSS at the fork
     with multiprocessing.get_context("spawn").Pool(1) as pool:
         entry["graph_build_rss"] = pool.apply(graph_build_rss, (RSS_N,))
     for name, (model, build, sizes) in SWEEPS.items():
         entry[name] = [search_point(model, build(n)) for n in sizes]
-    results = {}
-    if os.path.exists(OUT):
-        with open(OUT) as fh:
-            results = json.load(fh)
-    results[args.label] = entry
-    with open(OUT, "w") as fh:
-        json.dump(results, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_bench(OUT, args.label, entry)
     for name in SWEEPS:
         for point in entry[name]:
             print(f"{args.label} {name} n={point['n']}: {point['total_s']:.3f} s, "

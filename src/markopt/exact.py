@@ -47,7 +47,7 @@ from .models import (
     ScoreModel,
     _base_mark,
     _opt_mark,
-    aloha_receivers,
+    aloha_attenuation,
     lilypond_constraints,
 )
 from .optimize import SwapProposal, total_window_score
@@ -678,11 +678,11 @@ def lilypond_solve(c: Configuration) -> LilypondResult:
     n = c.n_points
     radii = np.zeros(n)
     growing = np.ones(n, dtype=bool)
-    # each growing ball's earliest pair and frozen events; inf once frozen
+    # each growing ball's earliest pair and frozen events; inf once frozen,
+    # as are the frozen columns of half
     half = d / 2.0
     pair_to, pair_at = half.argmin(axis=1), half.min(axis=1)
     frozen_to, frozen_at = np.full(n, n), np.full(n, np.inf)
-    del half
     events: list[LilypondEvent] = []
     now = 0.0
     while len(events) < n:
@@ -699,13 +699,14 @@ def lilypond_solve(c: Configuration) -> LilypondResult:
         now = max(now, t)
         for f in newly:
             radii[f], growing[f], pair_at[f], frozen_at[f] = t, False, np.inf, np.inf
-            cand = d[:, f] - t
+            half[:, f] = np.inf
+            cand = d[f] - t  # d is symmetric bit for bit
             better = growing & ((cand < frozen_at) | ((cand == frozen_at) & (f < frozen_to)))
             frozen_at[better], frozen_to[better] = cand[better], f
-        stale = np.flatnonzero(growing & np.isin(pair_to, newly))
-        rows = d[stale] / 2.0
-        rows[:, ~growing] = np.inf
+        stale = np.flatnonzero(growing & ((pair_to == newly[0]) | (pair_to == newly[-1])))
+        rows = half[stale]
         pair_to[stale], pair_at[stale] = rows.argmin(axis=1), rows.min(axis=1)
+    del half
     gap = d - (radii[:, None] + radii[None, :])
     assert float(gap.min()) >= -1e-9, "lilypond produced overlapping balls"
     return LilypondResult(tuple(float(r) for r in radii), _lilypond_residual(d, radii), events)
@@ -824,11 +825,9 @@ def mtp_argmax(f, lo: float, hi: float, tol: float = 1e-9) -> float:
 
 def aloha_response_terms(c: Configuration, beta: float) -> np.ndarray:
     """Matrix a[i, j] = 1 / (1 + |X_i - recv_j|^beta): the coupling of point
-    i's transmission into point j's receiver; diagonal is 0."""
-    dist = torus_cross_distances(c.window, positions_array(c), aloha_receivers(c))
-    a = np.empty_like(dist)
-    for i, row in enumerate(dist):
-        a[i] = [1.0 / (1.0 + d**beta) for d in row.tolist()]
+    i's transmission into point j's receiver; diagonal is 0.  A new array
+    from the family's ``aloha_attenuation``."""
+    a = 1.0 / aloha_attenuation(c, beta).T
     np.fill_diagonal(a, 0.0)
     return a
 
@@ -862,9 +861,8 @@ def aloha_optimal_marking(
     if tol <= 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
     n = c.n_points
-    coupling = aloha_response_terms(c, beta)
-    # rows[i] is np.delete(coupling[i], i)
-    rows = coupling[~np.eye(n, dtype=bool)].reshape(n, max(n - 1, 0))
+    # rows[i] is np.delete(aloha_response_terms(c, beta)[i], i)
+    rows = aloha_response_terms(c, beta)[~np.eye(n, dtype=bool)].reshape(n, max(n - 1, 0))
     probs = _aloha_argmax(rows, tol)
     return c.with_opt_marks({i: _access_prob(p) for i, p in enumerate(probs)})
 
@@ -874,12 +872,12 @@ def _aloha_argmax(rows: np.ndarray, tol: float) -> list[float]:
     n, h = len(rows), max(tol, 1e-8)
 
     def objective(p: np.ndarray) -> np.ndarray:
-        out = np.full(n, NEG_INF)
+        out, px = np.full(n, NEG_INF), p[:, None] * rows
         with np.errstate(divide="ignore", invalid="ignore"):
-            ok = (p > 0.0) & ~(1.0 - p[:, None] * rows <= 0.0).any(axis=1)
-            logs = np.log1p(-p[:, None] * rows).sum(axis=1)
-        for i in np.flatnonzero(ok).tolist():
-            out[i] = math.log(p[i]) + float(logs[i])
+            # 1 - px <= 0 exactly when px >= 1, as 0 <= px <= 1
+            ok = np.flatnonzero((p > 0.0) & ~(px >= 1.0).any(axis=1))
+            logs = np.log1p(np.negative(px, out=px), out=px).sum(axis=1)
+        out[ok] = np.array(list(map(math.log, p[ok].tolist()))) + logs[ok]
         return out
 
     def slope(x: np.ndarray) -> np.ndarray:

@@ -187,6 +187,28 @@ def aloha_receivers(c: Configuration) -> np.ndarray:
     return np.array([aloha_receiver(c, i) for i in range(c.n_points)]).reshape(-1, c.window.dim)
 
 
+def _libm_map(f, m: np.ndarray, *args) -> np.ndarray:
+    """f(entry, *next args) over the entries of m in row order, as Python float
+    calls: numpy's own pow, log and log1p kernels can differ from libm in the
+    last bit.  Each row is turned into floats only when it is reached."""
+    entries = itertools.chain.from_iterable(map(np.ndarray.tolist, m))
+    return np.fromiter(map(f, entries, *args), float, m.size).reshape(m.shape)
+
+
+def aloha_attenuation(c: Configuration, beta: float) -> np.ndarray:
+    """Read-only matrix A[i, j] = 1 + |recv_i - X_j|^beta, with the float pow
+    of ``score_at``, built once per configuration family and beta."""
+
+    def build(c: Configuration) -> np.ndarray:
+        dist = torus_cross_distances(c.window, aloha_receivers(c), positions_array(c))
+        a = _libm_map(math.pow, dist, itertools.repeat(beta))
+        a += 1.0
+        a.flags.writeable = False
+        return a
+
+    return c.derived(("aloha-attenuation", beta), build)
+
+
 # ---------------------------------------------------------------------------
 # caching
 
@@ -483,22 +505,21 @@ class AlohaModel(ScoreModel):
         n, beta = c.n_points, self.beta
         if n and beta <= c.window.dim:
             raise ValidationError(f"aloha needs beta > dim, got beta={beta}, dim={c.window.dim}")
-        probs = [_opt_mark(c, i, AccessProb).prob for i in range(n)]
-        # as score_at, with distances from receiver i in row i
-        dist = torus_cross_distances(c.window, aloha_receivers(c), positions_array(c))
-        scores = []
-        for i in range(n):
-            acc = math.log(probs[i])
-            for j, d in enumerate(dist[i].tolist()):
-                if j == i:
-                    continue
-                x = probs[j] / (1.0 + d**beta)
-                if x >= 1.0:
-                    acc = NEG_INF
-                    break
-                acc += math.log1p(-x)
-            scores.append(acc)
-        return map(self._check, scores)
+        probs = np.array([_opt_mark(c, i, AccessProb).prob for i in range(n)])
+        # as score_at, summed left to right: log p_i, then log1p(-p_j / A[i, j])
+        # for each j; the entries of j = i and of the rows that score -inf (some
+        # p_j / A[i, j] >= 1) are zeroed, and log1p(-0.0) = -0.0 adds nothing
+        terms = np.empty((n, n + 1))
+        terms[:, 0] = list(map(math.log, probs.tolist()))
+        x = terms[:, 1:]
+        np.divide(probs, aloha_attenuation(c, beta), out=x)
+        np.fill_diagonal(x, 0.0)
+        blocked = (x >= 1.0).any(axis=1)
+        x[blocked] = 0.0
+        x[...] = _libm_map(math.log1p, np.negative(x, out=x))
+        scores = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+        scores[blocked] = NEG_INF
+        return map(self._check, scores.tolist())
 
     def sample_mark(self, c: Configuration, i: int, g: np.random.Generator) -> OptMark:
         return AccessProb(1.0 - float(g.random()))

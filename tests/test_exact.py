@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from markopt.core import (
     GEOM_TOL,
     NEG_INF,
+    AccessProb,
     ColorMark,
     Configuration,
     GrainRadius,
@@ -25,6 +26,7 @@ from markopt.core import (
     integer_line,
     pairwise_torus_distances,
     periodic_cube,
+    positions_array,
     receiver_offset_sampler,
     rng,
     sample_poisson_configuration,
@@ -32,15 +34,20 @@ from markopt.core import (
     sample_weighted_tree,
     score_diff,
     sum_score_diffs,
+    torus_cross_distances,
     torus_distance,
 )
+from markopt import models
 from markopt.models import (
+    AlohaModel,
     CachingModel,
     HardcoreModel,
     LilypondModel,
     MatchingModel,
     WidomRowlinsonModel,
     _opt_mark,
+    aloha_receivers,
+    build_model,
     lilypond_constraints,
 )
 from markopt.optimize import SearchParams, local_search, total_window_score
@@ -64,6 +71,7 @@ from markopt.exact import (
     lilypond_solve,
     matching_optimum,
     mtp_argmax,
+    oracle_marking,
     tree_boundary,
     tree_local_optimality_check,
     uniform_sign_configuration,
@@ -74,6 +82,7 @@ from markopt.exact import (
     wr_segment_brute_force,
     wr_unique_marking,
 )
+from test_models import aloha_config, dense_case
 
 WR = WidomRowlinsonModel(graph="line")
 
@@ -904,6 +913,106 @@ def test_aloha_first_order_conditions():
         else:
             slope = (gi(p + h) - gi(p - h)) / (2 * h)
             assert abs(slope) < 1e-4
+
+
+# Test-only copies of the Aloha loops before the per-family attenuation
+# matrix: the coupling terms and the window scores by one float pow, division
+# and log1p per pair, with the window scores summed left to right.
+
+
+def looped_aloha_response_terms(c, beta):
+    dist = torus_cross_distances(c.window, positions_array(c), aloha_receivers(c))
+    a = np.empty_like(dist)
+    for i, row in enumerate(dist):
+        a[i] = [1.0 / (1.0 + d**beta) for d in row.tolist()]
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def looped_aloha_window_scores(c, beta):
+    probs = [p.opt.prob for p in c.points]
+    dist = torus_cross_distances(c.window, aloha_receivers(c), positions_array(c))
+    scores = []
+    for i in range(c.n_points):
+        acc = math.log(probs[i])
+        for j, d in enumerate(dist[i].tolist()):
+            if j == i:
+                continue
+            x = probs[j] / (1.0 + d**beta)
+            if x >= 1.0:
+                acc = NEG_INF
+                break
+            acc += math.log1p(-x)
+        scores.append(acc)
+    return scores
+
+
+def aloha_reference_cases():
+    """ALOHA_CASES with every access probability 1 (the third case then has a
+    receiver on a p = 1 transmitter) and with seeded random ones, the dense
+    configurations of test_models with n = 0, 1, 2, 7 and 25, and its edge
+    case with a -inf row."""
+    cases = []
+    for k, c in enumerate(ALOHA_CASES):
+        g = rng(k, 7)
+        cases.append(c.with_opt_marks({i: AccessProb(1.0) for i in range(c.n_points)}))
+        cases.append(c.with_opt_marks(
+            {i: AccessProb(1.0 - float(g.random())) for i in range(c.n_points)}))
+    cases += [dense_case("aloha", dim, n, seed) for dim in (1, 2, 3) for n in (0, 1, 2, 7, 25)
+              for seed in range(2)]
+    cases.append(aloha_config([(10.0, 1.0, 1.0), (11.0, 1.0, 1.0), (20.0, 1.0, 0.5)]))
+    return cases
+
+
+ALOHA_REFERENCE_CASES = aloha_reference_cases()
+
+
+@pytest.mark.parametrize("beta", [4.0, 3.5])
+@pytest.mark.parametrize("case", range(len(ALOHA_REFERENCE_CASES)))
+def test_aloha_dense_terms_repr_equal_looped_copies(case, beta):
+    c = ALOHA_REFERENCE_CASES[case]
+    expect = looped_aloha_window_scores(c, beta)
+    assert repr(list(AlohaModel(beta=beta).window_scores(c))) == repr(expect)
+    assert repr(aloha_response_terms(c, beta).tolist()) == repr(
+        looped_aloha_response_terms(c, beta).tolist())
+
+
+def test_aloha_reference_cases_cover_the_edges():
+    sizes = {c.n_points for c in ALOHA_REFERENCE_CASES}
+    assert {0, 1, 2} <= sizes
+    assert any(NEG_INF in looped_aloha_window_scores(c, 4.0) for c in ALOHA_REFERENCE_CASES)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("dim, side", [(1, 30.0), (2, 6.0)])
+@pytest.mark.parametrize("kind", ["lilypond", "aloha"])
+def test_oracle_output_window_total_in_shared_family(kind, dim, side, seed, monkeypatch):
+    # the exact command scores the oracle's output, which shares the derived
+    # cache of the configuration the oracle read
+    builds, receivers = [], models.aloha_receivers
+
+    def counted_receivers(c):  # read once per attenuation build
+        builds.append(c.n_points)
+        return receivers(c)
+
+    monkeypatch.setattr(models, "aloha_receivers", counted_receivers)
+    m = build_model(kind)
+    w = periodic_cube(dim, side)
+    c = sample_poisson_configuration(w, 1.0, kind, m.default_base_sampler(w), seed)
+    marked, _ = oracle_marking(c, m, kind)
+    scores = [repr(v) for v in m.window_scores(marked)]
+    assert scores == [repr(m.checked_score_at(marked, i)) for i in range(c.n_points)]
+    total = total_window_score(marked, m)
+    if kind == "aloha":
+        a = models.aloha_attenuation(c, m.beta)
+        before = a.copy()
+    again, _ = oracle_marking(c, m, kind)
+    assert repr(again) == repr(marked)
+    assert repr(total_window_score(again, m)) == repr(total)
+    if kind == "aloha":
+        assert builds == [c.n_points]
+        assert models.aloha_attenuation(again, m.beta) is a
+        assert not a.flags.writeable and np.array_equal(a, before)
 
 
 # -- matching -----------------------------------------------------------------

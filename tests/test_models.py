@@ -343,7 +343,11 @@ def assert_window_scores_match(m, c):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 25])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("m", [LilypondModel(), AlohaModel(beta=4.0)], ids=["lilypond", "aloha"])
+@pytest.mark.parametrize(
+    "m",
+    [LilypondModel(), AlohaModel(beta=4.0), AlohaModel(beta=3.5)],
+    ids=["lilypond", "aloha", "aloha-beta3.5"],
+)
 def test_window_scores_match_per_point_scores(m, dim, n, seed):
     assert_window_scores_match(m, dense_case(m.kind, dim, n, seed))
 

@@ -17,12 +17,19 @@ SCRIPT_RUNS = {
     "stabilization_tails": ["--replicates", "5"],
     "search_sweep": ["--label", "smoke"],
     "io_sweep": ["--label", "smoke"],
+    "exact_sweep": ["--label", "smoke"],
 }
 # sweep script -> the BENCH file it writes and the keys of its entry
 BENCH_FILES = {
     "search_sweep": ("BENCH_search_rounds.json", {"hardcore", "wr_line", "graph_build_rss"}),
     "io_sweep": ("BENCH_config_io.json", {"io"}),
+    "exact_sweep": ("BENCH_dense_exact.json", {"dense", "aloha_exact_rss"}),
 }
+# the checked-in BENCH files, and those the sweeps write, which must be there
+CHECKED_IN_BENCH = sorted(
+    {name for name in os.listdir(ROOT) if name.startswith("BENCH_") and name.endswith(".json")}
+    | {name for name, _ in BENCH_FILES.values()}
+)
 
 
 @pytest.mark.parametrize("script", sorted(SCRIPT_RUNS))
@@ -40,3 +47,12 @@ def test_script_exits_0(tmp_path, script):
             results = json.load(fh)
         assert set(results) == {"smoke"}
         assert keys <= set(results["smoke"])
+
+
+@pytest.mark.parametrize("name", CHECKED_IN_BENCH)
+def test_bench_file_has_parent_and_change(name):
+    # a speed claim needs before and after figures, each with its machine
+    with open(os.path.join(ROOT, name)) as fh:
+        results = json.load(fh)
+    for label in ("parent", "change"):
+        assert {"nproc", "python", "numpy"} <= set(results[label])
