@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, replace
 from . import exact
 from .core import (
     Configuration,
+    MarkSpaceError,
     UnsupportedModelError,
     ValidationError,
     Window,
@@ -395,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
             "estimate": cmd_estimate,
         }[args.command]
         return handler(spec, args.out, seed, threads)
-    except (ValidationError, UnsupportedModelError) as err:
+    except (ValidationError, MarkSpaceError, UnsupportedModelError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except WorkCapError as err:

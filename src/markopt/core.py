@@ -51,13 +51,6 @@ def is_admissible(value: float) -> bool:
     return value != NEG_INF
 
 
-def check_score(value: float) -> float:
-    """Reject NaN and +inf, which no score function may produce."""
-    if math.isnan(value) or value == POS_INF:
-        raise AssertionError(f"score out of range: {value!r}")
-    return value
-
-
 def total_score(values: Iterable[float]) -> float:
     """Sum of scores with -inf absorbing.
 
@@ -251,13 +244,6 @@ def torus_distance(window: Window, x: Sequence[float], y: Sequence[float]) -> fl
 
 def torus_distance_linf(window: Window, x: Sequence[float], y: Sequence[float]) -> float:
     return max(torus_delta(window, x, y))
-
-
-def wrap_position(window: Window, x: Sequence[float]) -> tuple[float, ...]:
-    """Reduce coordinates into [0, side)."""
-    if window.kind != "cube":
-        raise ValidationError("wrap_position requires a cube window")
-    return tuple(c % window.side for c in x)
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,12 @@ from .core import (
     sample_weighted_tree,
     substream_id,
     torus_cross_distances,
-    torus_distance,
     torus_distance_linf,
 )
 from .models import (
     ScoreModel,
     WidomRowlinsonModel,
-    aloha_receiver,
+    aloha_attenuation,
     aloha_receivers,
     grain_contacts,
     _base_mark,
@@ -388,7 +387,7 @@ def aloha_truncated_score_at(c: Configuration, i: int, beta: float, radius: floa
     side radius dropped.  Truncating outside the internal stabilization
     radius changes the score by at most its epsilon."""
     own = _opt_mark(c, i, AccessProb).prob
-    recv = aloha_receiver(c, i)
+    attenuation = aloha_attenuation(c, beta)[i].tolist()
     acc = math.log(own)
     w = c.window
     pos_i = c.points[i].position
@@ -398,9 +397,7 @@ def aloha_truncated_score_at(c: Configuration, i: int, beta: float, radius: floa
         gap = 2.0 * torus_distance_linf(w, p.position, pos_i)
         if gap > radius:
             continue
-        dist = torus_distance(w, p.position, recv)
-        other = _opt_mark(c, j, AccessProb).prob
-        acc += math.log1p(-other / (1.0 + dist**beta))
+        acc += math.log1p(-_opt_mark(c, j, AccessProb).prob / attenuation[j])
     return acc
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    GEOM_TOL,
     NEG_INF,
     POS_INF,
     AccessProb,
@@ -34,7 +33,6 @@ from .core import (
     WeightPair,
     WorkCapError,
     _replace_points,
-    pairwise_torus_distances,
     positions_array,
     score_diff,
     sum_score_diffs,
@@ -49,6 +47,8 @@ from .models import (
     _opt_mark,
     aloha_attenuation,
     lilypond_constraints,
+    lilypond_distances,
+    lilypond_touch_scores,
 )
 from .optimize import SwapProposal, total_window_score
 
@@ -653,9 +653,7 @@ def _lilypond_distances(c: Configuration) -> np.ndarray:
         raise ValidationError("lilypond needs a cube window")
     if c.n_points < 2:
         raise ValidationError("lilypond growth needs at least 2 points")
-    d = pairwise_torus_distances(c)
-    np.fill_diagonal(d, np.inf)
-    return d
+    return lilypond_distances(c)
 
 
 def _lilypond_residual(distances: np.ndarray, radii: np.ndarray) -> float:
@@ -753,7 +751,7 @@ def lilypond_perturbation_search(
     u2 = u.copy()
     u2[np.arange(n), first_idx] = np.inf
     second = u2.min(axis=1)
-    before = np.where(radii <= first + GEOM_TOL, radii - first, NEG_INF)
+    before = lilypond_touch_scores(radii, first)
     best_gain = NEG_INF
     best: tuple[int, float] | None = None
     for i in range(n):
@@ -764,11 +762,10 @@ def lilypond_perturbation_search(
                 r_new = radii[i] + signed
                 if r_new < 0.0:
                     continue
-                own_new = r_new - first[i] if r_new <= first[i] + GEOM_TOL else NEG_INF
-                diffs = [score_diff(own_new, float(before[i]))]
+                diffs = [score_diff(lilypond_touch_scores(r_new, first[i]), float(before[i]))]
                 u_new = np.maximum(d[:, i] / 2.0, d[:, i] - r_new)
                 min_new = np.minimum(excl, u_new)
-                after = np.where(radii <= min_new + GEOM_TOL, radii - min_new, NEG_INF)
+                after = lilypond_touch_scores(radii, min_new)
                 # a point whose score does not move adds an exact 0.0 (also
                 # -inf to -inf), which leaves the sum unchanged
                 moved = np.flatnonzero(after != before)

@@ -52,7 +52,6 @@ from .core import (
     receiver_offset_sampler,
     torus_cross_distances,
     torus_distance,
-    wrap_position,
 )
 
 
@@ -149,13 +148,30 @@ def hardcore_score_at(c: Configuration, i: int) -> float:
 # lilypond growth
 
 
+def lilypond_distances(c: Configuration) -> np.ndarray:
+    """Read-only matrix of the torus distances between the points, inf on the
+    diagonal, built once per configuration family."""
+
+    def build(c: Configuration) -> np.ndarray:
+        d = pairwise_torus_distances(c)
+        np.fill_diagonal(d, np.inf)
+        d.flags.writeable = False
+        return d
+
+    return c.derived("lilypond-distances", build)
+
+
 def lilypond_constraints(d: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Largest radius of point i compatible with point j's ball, for all i !=
-    j: the midpoint distance while j is no larger, else the distance minus
-    j's radius; inf on the diagonal."""
-    u = np.maximum(0.5 * d, d - radii[None, :])
-    np.fill_diagonal(u, np.inf)
-    return u
+    """Largest radius of point i compatible with point j's ball, from distances
+    d with inf where i = j: the midpoint distance while j is no larger, else
+    the distance minus j's radius."""
+    return np.maximum(0.5 * d, d - radii[None, :])
+
+
+def lilypond_touch_scores(radii, tightest):
+    """The touch rule, elementwise: a radius up to GEOM_TOL above its tightest
+    constraint scores radius - tightest, a larger one -inf."""
+    return np.where(radii <= tightest + GEOM_TOL, radii - tightest, NEG_INF)
 
 
 def lilypond_score_at(c: Configuration, i: int) -> float:
@@ -165,26 +181,22 @@ def lilypond_score_at(c: Configuration, i: int) -> float:
     if c.n_points == 1:
         return 0.0
     radii = np.array([_opt_mark(c, j, RadiusMark).radius for j in range(c.n_points)])
-    pos = positions_array(c)
-    d = torus_cross_distances(c.window, pos[i : i + 1], pos)[0]
-    tightest = float(np.delete(np.maximum(0.5 * d, d - radii), i).min())
-    if r_i <= tightest + GEOM_TOL:
-        return r_i - tightest
-    return NEG_INF
+    tightest = lilypond_constraints(lilypond_distances(c)[i : i + 1], radii).min()
+    return float(lilypond_touch_scores(r_i, tightest))
 
 
 # ---------------------------------------------------------------------------
 # Aloha medium access
 
 
-def aloha_receiver(c: Configuration, i: int) -> tuple[float, ...]:
-    offset = _base_mark(c, i, ReceiverOffset).offset
-    pos = c.points[i].position
-    return wrap_position(c.window, tuple(a + b for a, b in zip(pos, offset)))
-
-
 def aloha_receivers(c: Configuration) -> np.ndarray:
-    return np.array([aloha_receiver(c, i) for i in range(c.n_points)]).reshape(-1, c.window.dim)
+    """(n, dim) receiver positions: each point moved by its unit offset and
+    wrapped into [0, side)."""
+    offsets = [_base_mark(c, i, ReceiverOffset).offset for i in range(c.n_points)]
+    if any(len(offset) != c.window.dim for offset in offsets):
+        raise ValidationError(f"receiver offsets need {c.window.dim} coordinates")
+    shifted = positions_array(c) + np.array(offsets).reshape(-1, c.window.dim)
+    return np.remainder(shifted, c.window.side, out=shifted)
 
 
 def _libm_map(f, m: np.ndarray, *args) -> np.ndarray:
@@ -453,9 +465,8 @@ class LilypondModel(ScoreModel):
         radii = np.array([_opt_mark(c, i, RadiusMark).radius for i in range(c.n_points)])
         if c.n_points < 2:
             return [0.0] * c.n_points
-        tightest = lilypond_constraints(pairwise_torus_distances(c), radii).min(axis=1)
-        scores = np.where(radii <= tightest + GEOM_TOL, radii - tightest, NEG_INF)
-        return map(self._check, scores.tolist())
+        tightest = lilypond_constraints(lilypond_distances(c), radii).min(axis=1)
+        return map(self._check, lilypond_touch_scores(radii, tightest).tolist())
 
     def sample_mark(self, c: Configuration, i: int, g: np.random.Generator) -> OptMark:
         return RadiusMark(float(g.uniform(0.0, c.window.side / 2.0)))
@@ -488,14 +499,12 @@ class AlohaModel(ScoreModel):
         if beta <= c.window.dim:
             raise ValidationError(f"aloha needs beta > dim, got beta={beta}, dim={c.window.dim}")
         p_i = _opt_mark(c, i, AccessProb).prob
-        receiver = aloha_receiver(c, i)
+        attenuation = aloha_attenuation(c, beta)[i].tolist()
         acc = math.log(p_i)
         for j in range(c.n_points):
             if j == i:
                 continue
-            p_j = _opt_mark(c, j, AccessProb).prob
-            d = torus_distance(c.window, c.points[j].position, receiver)
-            x = p_j / (1.0 + d**beta)
+            x = _opt_mark(c, j, AccessProb).prob / attenuation[j]
             if x >= 1.0:
                 return NEG_INF
             acc += math.log1p(-x)
@@ -563,14 +572,16 @@ class CachingModel(ScoreModel):
             # reserve k_items zero-popularity items at the top of the catalogue
             pop = pop + (0.0,) * self.k_items
         object.__setattr__(self, "popularity", pop)
-        if any(p < 0.0 for p in pop):
-            raise ValidationError("popularities must be >= 0")
+        if not all(0.0 <= p < math.inf for p in pop):
+            raise ValidationError(f"popularities must be finite and >= 0, got {pop}")
         if abs(sum(pop) - 1.0) > 1e-9:
             raise ValidationError(f"popularities must sum to 1, got {sum(pop)}")
         if not 1 <= self.k_items <= len(pop):
             raise ValidationError(
                 f"cache size must be in [1, {len(pop)}], got {self.k_items}"
             )
+        if self.resolution is not None and not 0.0 < self.resolution < math.inf:
+            raise ValidationError(f"resolution must be finite and > 0, got {self.resolution}")
 
     @property
     def n_items(self) -> int:
@@ -630,6 +641,10 @@ class CachingModel(ScoreModel):
 class MatchingModel(ScoreModel):
     kind, sign_regime = "matching", "nonpos"
     p_blue: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.p_blue <= 1.0:
+            raise ValidationError(f"p_blue must be in [0, 1], got {self.p_blue}")
 
     def score_at(self, c: Configuration, i: int) -> float:
         """Minus the torus distance to the designated partner when the pairing is

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .core import (
@@ -73,6 +74,8 @@ class SearchParams:
     def __post_init__(self) -> None:
         if self.k_max < 1:
             raise ValidationError(f"k_max must be >= 1, got {self.k_max}")
+        if math.isnan(self.delta_min):
+            raise ValidationError("delta_min must be a number, got NaN")
         if self.mode not in ("auto", "exhaustive", "randomized"):
             raise ValidationError(f"unknown search mode {self.mode!r}")
         if self.indices is not None:

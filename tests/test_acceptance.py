@@ -22,6 +22,7 @@ from markopt.core import (
     Configuration,
     MarkedPoint,
     WeightPair,
+    pairwise_torus_distances,
     periodic_cube,
     rng,
     sample_weighted_line,
@@ -279,7 +280,7 @@ def test_criterion_05_lilypond_growth_scores_zero_and_unimprovable():
         result = exact.lilypond_solve(c)
         assert result.residual < 1e-9
         radii = np.array(result.radii)
-        d = exact.pairwise_torus_distances(c)
+        d = pairwise_torus_distances(c)
         np.fill_diagonal(d, np.inf)
         assert float((d - (radii[:, None] + radii[None, :])).min()) >= -1e-9
         marked = exact.lilypond_radii_configuration(c, result.radii)

@@ -907,6 +907,61 @@ def test_unreadable_file(tmp_path, case):
         assert code == 2
 
 
+def matching_spec(p_blue):
+    return dict(hardcore_spec(), model={"kind": "matching", "p_blue": p_blue},
+                policies=["random-iid"])
+
+
+# case -> (spec with one parameter outside its domain, the name in the error)
+OUT_OF_DOMAIN = {
+    "delta_min-nan": (dict(brute_spec(), search={"k_max": 1, "delta_min": math.nan}), "delta_min"),
+    "popularity-nan": (
+        dict(caching_spec(), model={"kind": "caching", "popularity": [0.5, math.nan, 0.5]}),
+        "popularities",
+    ),
+    "resolution-zero": (
+        dict(caching_spec(), model={"kind": "caching", "resolution": 0.0}), "resolution"
+    ),
+    "p_blue-5": (matching_spec(5.0), "p_blue"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_DOMAIN))
+def test_parameter_outside_domain(tmp_path, capsys, case):
+    spec_obj, name = OUT_OF_DOMAIN[case]
+    path = write_spec(tmp_path, spec_obj)
+    assert main(["generate", "--spec", path, "--out", str(tmp_path / "run")]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def other_class_base(marking):
+    """The marking with its first point's base mark of another class."""
+    points = [dict(marking["points"][0], base={"color": "red"}), *marking["points"][1:]]
+    return dict(marking, points=points)
+
+
+def one_coordinate_offsets(marking):
+    """The marking with every receiver offset cut to its first coordinate, signed."""
+    points = [dict(p, base={"offset": [math.copysign(1.0, p["base"]["offset"][0])]})
+              for p in marking["points"]]
+    return dict(marking, points=points)
+
+
+@pytest.mark.parametrize("spec_obj, edit, message", [
+    (brute_spec(), other_class_base, "model needs GrainRadius"),
+    (aloha_spec(), one_coordinate_offsets, "receiver offsets need 2 coordinates"),
+], ids=["base-class", "offset-dimension"])
+def test_configuration_marks_that_do_not_fit_the_model(tmp_path, capsys, spec_obj, edit, message):
+    """A configuration file whose base marks the model cannot read exits 2."""
+    out = run_commands(tmp_path, spec_obj, tmp_path / "run", ["generate"])
+    edit_json(out / "configs" / "rep_00000.json", edit)
+    path = write_spec(tmp_path, spec_obj, "edited.json")
+    for command in ("optimize", "exact"):
+        assert main([command, "--spec", path, "--out", str(out), "--threads", "1"]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_exact_lilypond_with_fewer_than_two_points(tmp_path):
     """Replicates with 0 or 1 point get radius 0 from the growth route, as
     from oracle:lilypond, and estimate reuses them."""

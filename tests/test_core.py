@@ -24,7 +24,6 @@ from markopt.core import (
     SignMark,
     ValidationError,
     WeightPair,
-    check_score,
     configuration_from_json,
     configuration_text,
     dump_configuration,
@@ -55,7 +54,6 @@ from markopt.core import (
     tree_vertex_count,
     window_from_json,
     window_to_json,
-    wrap_position,
 )
 
 finite_scores = st.floats(
@@ -65,15 +63,6 @@ extended_scores = st.one_of(st.just(NEG_INF), finite_scores)
 
 
 # -- score arithmetic ---------------------------------------------------------
-
-
-def test_check_score_rejects_nan_and_pos_inf():
-    assert check_score(1.5) == 1.5
-    assert check_score(NEG_INF) == NEG_INF
-    with pytest.raises(AssertionError):
-        check_score(float("nan"))
-    with pytest.raises(AssertionError):
-        check_score(math.inf)
 
 
 def test_score_diff_table():
@@ -202,11 +191,6 @@ def test_torus_metric_properties(pts):
     assert dxy <= 10.0 * math.sqrt(2) / 2 + 1e-9
     assert dxy <= torus_distance(w, x, z) + torus_distance(w, z, y) + 1e-9
     assert torus_distance_linf(w, x, y) <= dxy + 1e-12
-
-
-def test_wrap_position():
-    w = periodic_cube(2, 4.0)
-    assert wrap_position(w, (5.0, -1.0)) == (1.0, 3.0)
 
 
 # -- sampling -----------------------------------------------------------------

@@ -988,31 +988,37 @@ def test_aloha_reference_cases_cover_the_edges():
 @pytest.mark.parametrize("kind", ["lilypond", "aloha"])
 def test_oracle_output_window_total_in_shared_family(kind, dim, side, seed, monkeypatch):
     # the exact command scores the oracle's output, which shares the derived
-    # cache of the configuration the oracle read
-    builds, receivers = [], models.aloha_receivers
+    # cache of the configuration the oracle read: one matrix per family
+    builds = []
+    read = "aloha_receivers" if kind == "aloha" else "pairwise_torus_distances"
+    original = getattr(models, read)
 
-    def counted_receivers(c):  # read once per attenuation build
+    def counted(c):  # read once per matrix build
         builds.append(c.n_points)
-        return receivers(c)
+        return original(c)
 
-    monkeypatch.setattr(models, "aloha_receivers", counted_receivers)
+    monkeypatch.setattr(models, read, counted)
     m = build_model(kind)
     w = periodic_cube(dim, side)
     c = sample_poisson_configuration(w, 1.0, kind, m.default_base_sampler(w), seed)
+
+    def matrix(c):
+        if kind == "aloha":
+            return models.aloha_attenuation(c, m.beta)
+        return models.lilypond_distances(c)
+
     marked, _ = oracle_marking(c, m, kind)
     scores = [repr(v) for v in m.window_scores(marked)]
     assert scores == [repr(m.checked_score_at(marked, i)) for i in range(c.n_points)]
     total = total_window_score(marked, m)
-    if kind == "aloha":
-        a = models.aloha_attenuation(c, m.beta)
-        before = a.copy()
+    a = matrix(c)
+    before = a.copy()
     again, _ = oracle_marking(c, m, kind)
     assert repr(again) == repr(marked)
     assert repr(total_window_score(again, m)) == repr(total)
-    if kind == "aloha":
-        assert builds == [c.n_points]
-        assert models.aloha_attenuation(again, m.beta) is a
-        assert not a.flags.writeable and np.array_equal(a, before)
+    assert builds == [c.n_points]
+    assert matrix(again) is a
+    assert not a.flags.writeable and np.array_equal(a, before)
 
 
 # -- matching -----------------------------------------------------------------

@@ -42,8 +42,9 @@ from markopt.core import (
     pairwise_torus_linf,
     torus_cross_distances,
     torus_distance,
+    torus_distance_linf,
 )
-from markopt.estimate import hardcore_stab_radii_all
+from markopt.estimate import aloha_truncated_score_at, hardcore_stab_radii_all
 from markopt.models import (
     AlohaModel,
     CachingModel,
@@ -53,6 +54,7 @@ from markopt.models import (
     WidomRowlinsonModel,
     _caching_score_1d,
     _caching_score_2d,
+    aloha_receivers,
     build_model,
     grain_volume,
     hardcore_score_at,
@@ -919,6 +921,128 @@ def test_lilypond_score_matches_scalar_distances(dim, n, seed):
     c = dense_case("lilypond", dim, n, seed)
     for i in range(n):
         assert repr(lilypond_score_at(c, i)) == repr(_old_lilypond_score_at(c, i))
+
+
+def _old_aloha_receiver(c, i):
+    """Receiver of point i, one coordinate at a time."""
+    offset = c.points[i].base.offset
+    return tuple((a + b) % c.window.side for a, b in zip(c.points[i].position, offset))
+
+
+def _old_aloha_score_at(c, i, beta):
+    """AlohaModel.score_at with one torus_distance and one float pow per interferer."""
+    receiver = _old_aloha_receiver(c, i)
+    acc = math.log(c.points[i].opt.prob)
+    for j, q in enumerate(c.points):
+        if j == i:
+            continue
+        x = q.opt.prob / (1.0 + torus_distance(c.window, q.position, receiver) ** beta)
+        if x >= 1.0:
+            return NEG_INF
+        acc += math.log1p(-x)
+    return acc
+
+
+def _old_aloha_truncated_score_at(c, i, beta, radius):
+    """aloha_truncated_score_at with one torus_distance and one float pow per interferer."""
+    receiver = _old_aloha_receiver(c, i)
+    acc = math.log(c.points[i].opt.prob)
+    for j, q in enumerate(c.points):
+        gap = 2.0 * torus_distance_linf(c.window, q.position, c.points[i].position)
+        if j == i or gap > radius:
+            continue
+        dist = torus_distance(c.window, q.position, receiver)
+        acc += math.log1p(-q.opt.prob / (1.0 + dist**beta))
+    return acc
+
+
+def _outcome(f, *args):
+    """repr of f(*args), or the name of the exception that it raises."""
+    try:
+        return repr(f(*args))
+    except Exception as err:
+        return type(err).__name__
+
+
+def assert_aloha_scores_match_scalar_copies(c):
+    for beta in (4.0, 3.5):
+        m = AlohaModel(beta=beta)
+        for i in range(c.n_points):
+            assert repr(m.score_at(c, i)) == repr(_old_aloha_score_at(c, i, beta))
+            for radius in (0.0, 1.5, math.inf):
+                assert _outcome(aloha_truncated_score_at, c, i, beta, radius) == _outcome(
+                    _old_aloha_truncated_score_at, c, i, beta, radius)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 25])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_aloha_scores_match_scalar_copies(dim, n, seed):
+    c = dense_case("aloha", dim, n, seed)
+    assert_aloha_scores_match_scalar_copies(c)
+    assert repr(aloha_receivers(c).tolist()) == repr(
+        [list(_old_aloha_receiver(c, i)) for i in range(n)])
+
+
+def test_dense_scores_match_scalar_copies_on_edge_cases():
+    # the -inf rows of test_window_scores_edge_cases; the truncated score of
+    # a receiver on a p = 1 transmitter takes the log of 0 and raises
+    lily = lilypond_config([(10.0, 0.6), (11.0, 0.5), (30.0, 0.1)])
+    aloha = aloha_config([(10.0, 1.0, 1.0), (11.0, 1.0, 1.0), (20.0, 1.0, 0.5)])
+    assert lilypond_score_at(lily, 0) == NEG_INF
+    for i in range(3):
+        assert repr(lilypond_score_at(lily, i)) == repr(_old_lilypond_score_at(lily, i))
+    assert _old_aloha_score_at(aloha, 0, 4.0) == NEG_INF
+    assert _outcome(_old_aloha_truncated_score_at, aloha, 0, 4.0, math.inf) == "ValueError"
+    assert_aloha_scores_match_scalar_copies(aloha)
+
+
+def test_aloha_receivers_wrap_into_the_window():
+    w = periodic_cube(2, 4.0)
+    c = cube_points(w, [((3.5, 0.2), ReceiverOffset((1.0, 0.0)), None),
+                        ((1.0, 0.5), ReceiverOffset((0.0, -1.0)), None)], "aloha")
+    assert aloha_receivers(c).tolist() == [[0.5, 0.2], [1.0, 3.5]]
+
+
+def test_aloha_receivers_refuse_offsets_of_another_dimension():
+    # a 1-d offset in a 2-d window would move the receiver along one axis only
+    w = periodic_cube(2, 6.0)
+    c = cube_points(w, [((1.0, 1.0), ReceiverOffset((1.0,)), AccessProb(1.0)),
+                        ((3.0, 1.0), ReceiverOffset((-1.0,)), AccessProb(1.0))], "aloha")
+    for score in (lambda: list(AlohaModel().window_scores(c)), lambda: AlohaModel().score_at(c, 0)):
+        with pytest.raises(ValidationError, match="2 coordinates"):
+            score()
+
+
+@dataclasses.dataclass(frozen=True)
+class _ConstantModel(models.ScoreModel):
+    """Stub model that scores every point value."""
+
+    kind = "constant"
+    value: float = 0.0
+
+    def score_at(self, c, i):
+        return self.value
+
+
+def test_checked_score_at_rejects_nan_and_pos_inf():
+    c = lilypond_config([(1.0, 0.5)])
+    assert _ConstantModel(1.5).checked_score_at(c, 0) == 1.5
+    assert _ConstantModel(NEG_INF).checked_score_at(c, 0) == NEG_INF
+    for value in (math.nan, math.inf):
+        with pytest.raises(AssertionError, match="produced score"):
+            _ConstantModel(value).checked_score_at(c, 0)
+
+
+def test_model_parameters_outside_their_domain():
+    for params in ({"popularity": (0.5, math.nan, 0.5)}, {"popularity": (0.5, math.inf)},
+                   {"resolution": 0.0}, {"resolution": math.nan}, {"resolution": math.inf}):
+        with pytest.raises(ValidationError):
+            CachingModel(**params)
+    for p_blue in (-0.1, 1.5, 5.0, math.nan):
+        with pytest.raises(ValidationError, match="p_blue"):
+            MatchingModel(p_blue=p_blue)
+    assert MatchingModel(p_blue=0.0).p_blue == 0.0 and MatchingModel(p_blue=1.0).p_blue == 1.0
 
 
 def test_derived_cache_follows_positions_and_base_marks(tmp_path):

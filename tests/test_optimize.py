@@ -170,6 +170,13 @@ def test_search_params_validation():
     assert SearchParams(indices=(1, 3, 5)).indices == (1, 3, 5)
 
 
+def test_nan_delta_min_is_refused():
+    # no gain clears a NaN threshold, so the search would stop at its first
+    # round and still report a local optimum
+    with pytest.raises(ValidationError, match="delta_min"):
+        SearchParams(delta_min=math.nan)
+
+
 def replayed_totals(c, model, trace):
     """The window total after each step of the trace, replayed from c."""
     totals = []
