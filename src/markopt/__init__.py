@@ -46,22 +46,17 @@ from .optimize import (
     SearchParams,
     SearchTrace,
     SwapProposal,
-    apply_swap,
     find_valid_swap,
     initialize_marks,
     local_search,
-    score_difference,
     total_window_score,
 )
 from .exact import (
     BlockingInterval,
     brute_force_optimum,
-    lilypond_fixed_point,
     lilypond_solve,
     matching_optimum,
-    mtp_argmax,
     tree_local_optimality_check,
-    wr_blocking_intervals,
     wr_chain_dp,
     wr_unique_marking,
     aloha_optimal_marking,
@@ -71,8 +66,6 @@ from .estimate import (
     Policy,
     campbell_identity_check,
     coverage_hit_probability,
-    intensity_estimate,
-    run_replicates,
     stabilization_sample,
 )
 

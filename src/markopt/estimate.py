@@ -24,6 +24,7 @@ import numpy as np
 from . import exact
 from .core import (
     GEOM_TOL,
+    NEG_INF,
     AccessProb,
     Configuration,
     GrainRadius,
@@ -229,12 +230,15 @@ def scored_record(
     return ReplicateRecord(replicate, seed, marked.n_points, total, is_admissible(total), elapsed)
 
 
-def _stored_marking(path: str, c: Configuration) -> Configuration | None:
+def _stored_marking(path: str, c: Configuration, model: ScoreModel) -> Configuration | None:
     """The marking in file path, sharing c's derived cache, if the file has the
-    window, model, points and base marks of the unmarked c."""
+    window, model, points and base marks of the unmarked c, and an opt mark of
+    the model's class at every point."""
     try:
         m = load_configuration(path)
     except ValidationError:
+        return None
+    if not all(isinstance(p.opt, model.opt_mark_class) for p in m.points):
         return None
     unmarked = m.with_opt_marks(dict.fromkeys(range(m.n_points)))
     return _replace_points(c, m.points) if unmarked == c else None
@@ -255,31 +259,10 @@ def run_replicate(
     start = time.perf_counter()
     if c is None:
         c = sample_configuration(model, window, intensity, seed, replicate)
-    marked = _stored_marking(stored, c) if stored else None
+    marked = _stored_marking(stored, c, model) if stored else None
     if marked is None:
         marked = apply_policy(c, model, policy, seed, replicate)
     return scored_record(marked, model, replicate, seed, start)
-
-
-def run_replicates(
-    model: ScoreModel,
-    window: Window,
-    policy: Policy,
-    intensity: float | None = None,
-    replicates: int = 100,
-    seed: int = 0,
-    threads: int = 1,
-) -> list[ReplicateRecord]:
-    if replicates < 0:
-        raise ValidationError(f"replicates must be >= 0, got {replicates}")
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
-    model.validate_for_window(window)
-
-    def worker(k: int) -> ReplicateRecord:
-        return run_replicate(model, window, policy, intensity, seed, k)
-
-    return map_replicates(worker, replicates, threads)
 
 
 def summarize_records(records: list[ReplicateRecord], window: Window) -> IntensityEstimate:
@@ -298,18 +281,6 @@ def summarize_records(records: list[ReplicateRecord], window: Window) -> Intensi
         replicates=total,
         inadmissible_fraction=1.0 - len(values) / total,
     )
-
-
-def intensity_estimate(
-    model: ScoreModel,
-    window: Window,
-    policy: Policy,
-    intensity: float | None = None,
-    replicates: int = 100,
-    seed: int = 0,
-) -> IntensityEstimate:
-    records = run_replicates(model, window, policy, intensity, replicates, seed)
-    return summarize_records(records, window)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +355,9 @@ def aloha_stab_radii_all(
 
 def aloha_truncated_score_at(c: Configuration, i: int, beta: float, radius: float) -> float:
     """Medium access score of point i with interferers outside the cube of
-    side radius dropped.  Truncating outside the internal stabilization
-    radius changes the score by at most its epsilon."""
+    side radius dropped; -inf, as in score_at, if an interferer inside it
+    silences i.  Truncating outside the internal stabilization radius changes
+    the score by at most its epsilon."""
     own = _opt_mark(c, i, AccessProb).prob
     attenuation = aloha_attenuation(c, beta)[i].tolist()
     acc = math.log(own)
@@ -397,7 +369,10 @@ def aloha_truncated_score_at(c: Configuration, i: int, beta: float, radius: floa
         gap = 2.0 * torus_distance_linf(w, p.position, pos_i)
         if gap > radius:
             continue
-        acc += math.log1p(-_opt_mark(c, j, AccessProb).prob / attenuation[j])
+        x = _opt_mark(c, j, AccessProb).prob / attenuation[j]
+        if x >= 1.0:
+            return NEG_INF
+        acc += math.log1p(-x)
     return acc
 
 

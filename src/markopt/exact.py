@@ -3,10 +3,9 @@
 Everything here is an oracle for the search machinery: full enumeration with
 a work cap, the sign-chain dynamic program with its blocking-interval
 shields, exhaustive deviation checks on tree balls, the exact lilypond
-growth solution with an independent fixed-point route, a one-dimensional
-argmax for per-point mark responses, and optimal matchings by permutation
-enumeration.  The pipeline reaches its certified routes through one table,
-ROUTES, and one function, oracle_marking.
+growth solution, per-point optimal Aloha access probabilities, and optimal
+matchings by permutation enumeration.  The pipeline reaches its certified
+routes through one table, ROUTES, and one function, oracle_marking.
 """
 
 from __future__ import annotations
@@ -56,10 +55,6 @@ BRUTE_FORCE_CAP = 10**7  # evaluated markings times points
 TREE_DEPTH_CAP = 6
 TREE_VMAX_CAP = 4
 MATCHING_PAIR_CAP = 9
-# damped Picard iteration of lilypond_fixed_point
-FIXED_POINT_DAMPING = 0.5
-FIXED_POINT_SWEEPS = 10**5
-FIXED_POINT_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -162,24 +157,6 @@ class BlockingInterval:
         return self.hi - self.lo + 1
 
 
-def is_blocking_interval(weights: list[tuple[float, float]], lo: int, hi: int) -> bool:
-    """Condition 1: every plus weight inside beats every minus weight inside.
-    Condition 2: the plus weights inside outsum the minus weights of the
-    interval extended by one site on each existing side."""
-    n = len(weights)
-    if not (0 <= lo <= hi < n):
-        raise ValidationError(f"interval [{lo}, {hi}] outside chain of {n}")
-    min_plus = min(weights[k][0] for k in range(lo, hi + 1))
-    max_minus = max(weights[k][1] for k in range(lo, hi + 1))
-    if not min_plus > max_minus:
-        return False
-    plus_sum = sum(weights[k][0] for k in range(lo, hi + 1))
-    minus_sum = sum(
-        weights[k][1] for k in range(max(lo - 1, 0), min(hi + 1, n - 1) + 1)
-    )
-    return plus_sum > minus_sum
-
-
 def _all_blocking_intervals(weights: list[tuple[float, float]]) -> list[BlockingInterval]:
     n = len(weights)
     wp = [w[0] for w in weights]
@@ -202,11 +179,6 @@ def _all_blocking_intervals(weights: list[tuple[float, float]]) -> list[Blocking
             if plus_sum > cum_m[b + 1] - cum_m[a]:
                 out.append(BlockingInterval(lo, hi))
     return out
-
-
-def wr_blocking_intervals(c: Configuration) -> list[BlockingInterval]:
-    """Maximal blocking intervals of the chain, sorted by position."""
-    return _maximal_intervals(_all_blocking_intervals(_chain_weights(c)))
 
 
 def _maximal_intervals(blocking: list[BlockingInterval]) -> list[BlockingInterval]:
@@ -484,30 +456,6 @@ def wr_marks_to_configuration(c: Configuration, marks: tuple[str, ...]) -> Confi
 # tree balls
 
 
-def tree_boundary(depth: int, vertices: set[int] | tuple[int, ...]) -> tuple[int, int]:
-    """Count a vertex set and its outer boundary inside a tree ball.
-
-    The set must stay in the interior of the ball (depth strictly less than
-    the ball radius) so the whole boundary is visible; the boundary is never
-    smaller than the set itself.
-    """
-    adjacency, depths = tree_structure(depth)
-    vset = set(int(v) for v in vertices)
-    for v in vset:
-        if not 0 <= v < len(adjacency):
-            raise ValidationError(f"vertex {v} outside ball of {len(adjacency)}")
-        if depths[v] >= depth:
-            raise ValidationError(f"vertex {v} touches the ball boundary")
-    boundary = set()
-    for v in vset:
-        for u in adjacency[v]:
-            if u not in vset:
-                boundary.add(u)
-    if vset:
-        assert len(boundary) >= len(vset), "tree boundary smaller than the set"
-    return len(vset), len(boundary)
-
-
 @dataclass
 class TreeCheckResult:
     locally_optimal: bool
@@ -710,25 +658,6 @@ def lilypond_solve(c: Configuration) -> LilypondResult:
     return LilypondResult(tuple(float(r) for r in radii), _lilypond_residual(d, radii), events)
 
 
-def lilypond_fixed_point(c: Configuration) -> tuple[tuple[float, ...], float, int]:
-    """Damped Picard iteration on the touch constraints, from all-zero radii.
-
-    Independent route to the same growth solution; returns (radii, residual,
-    sweeps used).
-    """
-    d = _lilypond_distances(c)
-    radii = np.zeros(c.n_points)
-    sweeps = 0
-    for sweeps in range(1, FIXED_POINT_SWEEPS + 1):
-        target = lilypond_constraints(d, radii).min(axis=1)
-        new = FIXED_POINT_DAMPING * radii + (1.0 - FIXED_POINT_DAMPING) * target
-        shift = float(np.abs(new - radii).max())
-        radii = new
-        if shift < FIXED_POINT_TOL:
-            break
-    return tuple(float(r) for r in radii), _lilypond_residual(d, radii), sweeps
-
-
 def lilypond_radii_configuration(c: Configuration, radii) -> Configuration:
     return c.with_opt_marks({i: RadiusMark(float(r)) for i, r in enumerate(radii)})
 
@@ -779,44 +708,6 @@ def lilypond_perturbation_search(
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional argmax
-
-
-def mtp_argmax(f, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Smallest maximizer of a unimodal (e.g. concave) f on [lo, hi] within tol.
-
-    Bisects on the sign of a central-difference slope with step
-    max(tol, 1e-8 * scale); flat slopes steer left so the smallest maximizer
-    wins.  f may return -inf outside its effective domain but never NaN.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValidationError(f"need a finite interval, got [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    h = max(tol, 1e-8 * max(1.0, abs(lo), abs(hi)))
-
-    def slope(x: float) -> float:
-        # stencil clamped to the interval: one-sided at the endpoints
-        a, b = f(max(x - h, lo)), f(min(x + h, hi))
-        if a == NEG_INF and b == NEG_INF:
-            return 0.0
-        return score_diff(b, a)
-
-    if slope(lo) <= 0.0:
-        return lo
-    if slope(hi) >= 0.0:
-        return hi
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if slope(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-# ---------------------------------------------------------------------------
 # optimal medium access marks
 
 
@@ -827,22 +718,6 @@ def aloha_response_terms(c: Configuration, beta: float) -> np.ndarray:
     a = 1.0 / aloha_attenuation(c, beta).T
     np.fill_diagonal(a, 0.0)
     return a
-
-
-def aloha_point_objective(coupling_row: np.ndarray):
-    """Per-point objective: own log access probability plus the log of the
-    success factors this point imposes on every other receiver."""
-    row = np.asarray(coupling_row)
-
-    def g(p: float) -> float:
-        if p <= 0.0:
-            return NEG_INF
-        damp = 1.0 - p * row
-        if (damp <= 0.0).any():
-            return NEG_INF
-        return math.log(p) + float(np.log1p(-p * row).sum())
-
-    return g
 
 
 def aloha_optimal_marking(
@@ -865,7 +740,8 @@ def aloha_optimal_marking(
 
 
 def _aloha_argmax(rows: np.ndarray, tol: float) -> list[float]:
-    """mtp_argmax(aloha_point_objective(rows[i]), 0.0, 1.0, tol), all i at once."""
+    """Smallest maximizer within tol of log p + sum_j log(1 - p rows[i, j])
+    on [0, 1] for every i, by bisection on a central-difference slope."""
     n, h = len(rows), max(tol, 1e-8)
 
     def objective(p: np.ndarray) -> np.ndarray:

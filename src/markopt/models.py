@@ -305,6 +305,7 @@ class ScoreModel:
 
     kind = ""
     sign_regime = "nonneg"
+    opt_mark_class = OptMark  # the class of every opt mark that the model scores
 
     def score_at(self, c: Configuration, i: int) -> float:
         raise NotImplementedError
@@ -379,7 +380,7 @@ _SIGN_CANDIDATES = (SignMark("0"), SignMark("+"), SignMark("-"))
 
 @dataclass(frozen=True)
 class HardcoreModel(ScoreModel):
-    kind, sign_regime = "hardcore", "nonneg"
+    kind, sign_regime, opt_mark_class = "hardcore", "nonneg", Retain
     radius_lo: float = 0.05
     radius_hi: float = 0.15
 
@@ -412,7 +413,7 @@ def _graph_adjacency(c: Configuration) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class WidomRowlinsonModel(ScoreModel):
-    sign_regime = "nonneg"
+    sign_regime, opt_mark_class = "nonneg", SignMark
     graph: str = "line"  # "line" or "tree"
     weight_lo: float = 0.0
     weight_hi: float = 1.0
@@ -456,7 +457,7 @@ class WidomRowlinsonModel(ScoreModel):
 
 @dataclass(frozen=True)
 class LilypondModel(ScoreModel):
-    kind, sign_regime = "lilypond", "nonpos"
+    kind, sign_regime, opt_mark_class = "lilypond", "nonpos", RadiusMark
 
     def score_at(self, c: Configuration, i: int) -> float:
         return lilypond_score_at(c, i)
@@ -485,7 +486,7 @@ class LilypondModel(ScoreModel):
 
 @dataclass(frozen=True)
 class AlohaModel(ScoreModel):
-    kind, sign_regime = "aloha", "nonpos"
+    kind, sign_regime, opt_mark_class = "aloha", "nonpos", AccessProb
     beta: float = 4.0
 
     def __post_init__(self) -> None:
@@ -558,7 +559,7 @@ class AlohaModel(ScoreModel):
 
 @dataclass(frozen=True)
 class CachingModel(ScoreModel):
-    kind, sign_regime = "caching", "nonneg"
+    kind, sign_regime, opt_mark_class = "caching", "nonneg", ItemSet
     popularity: tuple[float, ...] = (0.5, 0.3, 0.2)
     k_items: int = 1
     reserve_neutral: bool = False
@@ -639,7 +640,7 @@ class CachingModel(ScoreModel):
 
 @dataclass(frozen=True)
 class MatchingModel(ScoreModel):
-    kind, sign_regime = "matching", "nonpos"
+    kind, sign_regime, opt_mark_class = "matching", "nonpos", PartnerIndex
     p_blue: float = 0.5
 
     def __post_init__(self) -> None:
@@ -709,12 +710,3 @@ def build_model(kind: str, **params) -> ScoreModel:
     cls, fixed = MODEL_KINDS[kind]
     check_field_types(cls, params, "model parameter")
     return cls(**fixed, **params)
-
-
-def validate_marked_configuration(c: Configuration, model: ScoreModel) -> None:
-    """Window compatibility plus one checked score per point."""
-    model.validate_for_window(c.window)
-    if c.model_id != model.kind:
-        raise ValidationError(f"configuration is for {c.model_id!r}, model is {model.kind!r}")
-    for i in range(c.n_points):
-        model.checked_score_at(c, i)

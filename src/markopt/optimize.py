@@ -108,22 +108,6 @@ def total_window_score(c: Configuration, model: ScoreModel) -> float:
     return total_score(model.window_scores(c))
 
 
-def apply_swap(c: Configuration, swap: SwapProposal) -> Configuration:
-    for i in swap.indices:
-        if not 0 <= i < c.n_points:
-            raise ValidationError(f"swap index {i} outside configuration of {c.n_points}")
-    return c.with_opt_marks(dict(zip(swap.indices, swap.new_marks)))
-
-
-def score_difference(c: Configuration, swap: SwapProposal, model: ScoreModel) -> float:
-    """Gain of the swap over the current configuration."""
-    after = apply_swap(c, swap)
-    affected = model.affected_points(c, swap.indices)
-    return sum_score_diffs(
-        score_diff(model.score_at(after, j), model.score_at(c, j)) for j in affected
-    )
-
-
 def _swap_pool(c: Configuration, params: SearchParams) -> tuple[int, ...]:
     if params.indices is None:
         return tuple(range(c.n_points))

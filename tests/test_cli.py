@@ -792,6 +792,16 @@ def string_grain(marking):
     return dict(marking, points=points)
 
 
+def radius_opt(index):
+    """The marking with the opt mark of its point at index replaced by a radius."""
+    def edit(marking):
+        points = list(marking["points"])
+        points[index] = dict(points[index], opt={"radius": 0.5})
+        return dict(marking, points=points)
+
+    return edit
+
+
 def without(key):
     return lambda obj: {k: v for k, v in obj.items() if k != key}
 
@@ -804,6 +814,8 @@ MALFORMED_INPUTS = {
     ),
     "marked-grain": ("marked/rep_00000.json", string_grain, "estimate"),
     "exact-grain": ("exact/rep_00002.json", string_grain, "estimate"),
+    "marked-opt-class-first": ("marked/rep_00000.json", radius_opt(0), "estimate"),
+    "exact-opt-class-last": ("exact/rep_00002.json", radius_opt(-1), "estimate"),
     "optimize-summary-list": ("optimize_summary.json", lambda o: [], "estimate"),
     "exact-summary-list": ("exact_summary.json", lambda o: [], "estimate"),
     "optimize-summary-no-traces": ("optimize_summary.json", without("traces"), "estimate"),
@@ -818,7 +830,8 @@ MALFORMED_INPUTS = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input(tmp_path, case):
     """A spec value of the wrong type or a malformed configuration exits 2; a
-    malformed stored marking or summary is recomputed, as by estimate alone."""
+    malformed stored marking or summary, or a marking with opt marks of another
+    model's class, is recomputed, as by estimate alone."""
     target, edit, command = MALFORMED_INPUTS[case]
     spec_obj = brute_spec()
     out = tmp_path / "run"
@@ -831,8 +844,7 @@ def test_malformed_input(tmp_path, case):
     code = main([command, "--spec", path, "--out", str(out), "--threads", "1"])
     if command == "estimate":
         assert code == 0
-        fresh_summary = fresh_estimate(tmp_path, spec_obj)[1]
-        assert (out / "estimate_summary.json").read_bytes() == fresh_summary
+        assert estimate_outputs(out) == fresh_estimate(tmp_path, spec_obj)
     else:
         assert code == 2
 
@@ -901,8 +913,7 @@ def test_unreadable_file(tmp_path, case):
         code = main([command, "--spec", str(spec_path), "--out", str(out), "--threads", "1"])
     if command == "estimate":
         assert code == 0
-        fresh_summary = fresh_estimate(tmp_path, spec_obj)[1]
-        assert (out / "estimate_summary.json").read_bytes() == fresh_summary
+        assert estimate_outputs(out) == fresh_estimate(tmp_path, spec_obj)
     else:
         assert code == 2
 

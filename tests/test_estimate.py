@@ -38,11 +38,10 @@ from markopt.estimate import (
     campbell_identity_check,
     coverage_hit_probability,
     hardcore_stab_radii_all,
-    intensity_estimate,
     parse_policy,
     read_results_csv,
     record_to_row,
-    run_replicates,
+    run_replicate,
     sample_configuration,
     stabilization_sample,
     summarize_records,
@@ -103,6 +102,17 @@ def test_sample_configuration_dispatch():
 
 
 # -- intensity estimation -----------------------------------------------------
+
+
+def replicate_records(model, window, policy, intensity, replicates, seed):
+    return [run_replicate(model, window, policy, intensity, seed, k) for k in range(replicates)]
+
+
+def intensity_estimate(model, window, policy, intensity, replicates, seed):
+    """The estimate command's summary of one policy, run serially."""
+    return summarize_records(
+        replicate_records(model, window, policy, intensity, replicates, seed), window
+    )
 
 
 def test_neutral_policy_estimates_exactly_zero():
@@ -168,23 +178,11 @@ def test_policy_ordering_on_hardcore():
     assert searched.inadmissible_fraction == 0.0
 
     pol = Policy("local-search", search=SearchParams(k_max=1))
-    srecs = run_replicates(m, w, pol, intensity=0.6, replicates=25, seed=11)
-    rrecs = run_replicates(m, w, Policy("all-retain"), intensity=0.6, replicates=25, seed=11)
+    srecs = replicate_records(m, w, pol, intensity=0.6, replicates=25, seed=11)
+    rrecs = replicate_records(m, w, Policy("all-retain"), intensity=0.6, replicates=25, seed=11)
     for s, r in zip(srecs, rrecs):
         assert s.seed == r.seed
         assert s.total_score >= r.total_score
-
-
-def test_run_replicates_thread_invariance():
-    m = HardcoreModel()
-    w = periodic_cube(1, 15.0)
-    pol = Policy("local-search", search=SearchParams(k_max=1))
-    serial = run_replicates(m, w, pol, intensity=0.5, replicates=12, seed=3, threads=1)
-    parallel = run_replicates(m, w, pol, intensity=0.5, replicates=12, seed=3, threads=4)
-    strip = lambda recs: [
-        (r.replicate, r.seed, r.n_points, r.total_score, r.admissible) for r in recs
-    ]
-    assert strip(serial) == strip(parallel)
 
 
 def test_summarize_excludes_inadmissible():

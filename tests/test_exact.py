@@ -61,22 +61,16 @@ from markopt.exact import (
     _lilypond_distances,
     _lilypond_residual,
     aloha_optimal_marking,
-    aloha_point_objective,
     aloha_response_terms,
     brute_force_optimum,
-    is_blocking_interval,
-    lilypond_fixed_point,
     lilypond_perturbation_search,
     lilypond_radii_configuration,
     lilypond_solve,
     matching_optimum,
-    mtp_argmax,
     oracle_marking,
-    tree_boundary,
     tree_local_optimality_check,
     uniform_sign_configuration,
     wr_anchor_sites,
-    wr_blocking_intervals,
     wr_chain_dp,
     wr_marks_to_configuration,
     wr_segment_brute_force,
@@ -246,11 +240,33 @@ def interval_weights(plus, minus):
     return [(p, m) for p, m in zip(plus, minus)]
 
 
+# The blocking conditions checked one interval at a time, against which
+# the scan of wr_unique_marking is compared.
+
+
+def is_blocking_interval(weights: list[tuple[float, float]], lo: int, hi: int) -> bool:
+    """Condition 1: every plus weight inside beats every minus weight inside.
+    Condition 2: the plus weights inside outsum the minus weights of the
+    interval extended by one site on each existing side."""
+    n = len(weights)
+    if not (0 <= lo <= hi < n):
+        raise ValidationError(f"interval [{lo}, {hi}] outside chain of {n}")
+    min_plus = min(weights[k][0] for k in range(lo, hi + 1))
+    max_minus = max(weights[k][1] for k in range(lo, hi + 1))
+    if not min_plus > max_minus:
+        return False
+    plus_sum = sum(weights[k][0] for k in range(lo, hi + 1))
+    minus_sum = sum(
+        weights[k][1] for k in range(max(lo - 1, 0), min(hi + 1, n - 1) + 1)
+    )
+    return plus_sum > minus_sum
+
+
 def test_blocking_interval_example():
     weights = interval_weights([1.0, 2.5, 2.5, 1.0], [1.0, 1.0, 1.0, 1.0])
     assert is_blocking_interval(weights, 1, 2)
     c = wr_config(weights)
-    ivs = wr_blocking_intervals(c)
+    ivs = wr_unique_marking(c).intervals
     assert BlockingInterval(1, 2) in ivs
 
 
@@ -268,14 +284,14 @@ def test_blocking_needs_sum_dominance():
 
 def test_equal_weights_block_nothing():
     c = wr_config([(1.0, 1.0)] * 6)
-    assert wr_blocking_intervals(c) == []
+    assert wr_unique_marking(c).intervals == []
 
 
 def test_blocking_intervals_are_maximal():
     for seed in range(20):
         c = sample_weighted_line(40, seed, 21)
         weights = [(p.base.w_plus, p.base.w_minus) for p in c.points]
-        ivs = wr_blocking_intervals(c)
+        ivs = wr_unique_marking(c).intervals
         for a, b in itertools.combinations(ivs, 2):
             assert not (a.lo <= b.lo and b.hi <= a.hi)
             assert not (b.lo <= a.lo and a.hi <= b.hi)
@@ -558,40 +574,6 @@ def test_segment_marks_survive_far_rerandomization():
 # -- trees --------------------------------------------------------------------
 
 
-def test_tree_boundary_of_root():
-    assert tree_boundary(3, {0}) == (1, 3)
-
-
-def test_tree_boundary_of_depth_one_ball():
-    assert tree_boundary(3, {0, 1, 2, 3}) == (4, 6)
-
-
-def test_tree_boundary_empty():
-    assert tree_boundary(3, set()) == (0, 0)
-
-
-def test_tree_boundary_rejects_rim_vertices():
-    from markopt.core import tree_vertex_count
-
-    rim = tree_vertex_count(3) - 1
-    with pytest.raises(ValidationError):
-        tree_boundary(3, {rim})
-
-
-def test_tree_boundary_dominates_interior():
-    g = rng(41)
-    from markopt.core import tree_vertex_count
-
-    depth = 5
-    interior = tree_vertex_count(depth - 1)
-    for _ in range(300):
-        size = int(g.integers(1, 12))
-        vertices = set(int(v) for v in g.choice(interior, size=size, replace=False))
-        n_v, n_b = tree_boundary(depth, vertices)
-        assert n_v == len(vertices)
-        assert n_b >= n_v
-
-
 def test_uniform_tree_markings_locally_optimal():
     c = sample_weighted_tree(4, 3, lo=0.9, hi=1.1)
     for sign in ("+", "-"):
@@ -681,6 +663,32 @@ def test_lilypond_events_chronological():
     times = [e.time for e in res.events]
     assert times == sorted(times)
     assert len(res.events) == c.n_points
+
+
+# damped Picard iteration of lilypond_fixed_point, an independent route to
+# the growth solution of lilypond_solve
+FIXED_POINT_DAMPING = 0.5
+FIXED_POINT_SWEEPS = 10**5
+FIXED_POINT_TOL = 1e-12
+
+
+def lilypond_fixed_point(c: Configuration) -> tuple[tuple[float, ...], float, int]:
+    """Damped Picard iteration on the touch constraints, from all-zero radii.
+
+    Independent route to the same growth solution; returns (radii, residual,
+    sweeps used).
+    """
+    d = _lilypond_distances(c)
+    radii = np.zeros(c.n_points)
+    sweeps = 0
+    for sweeps in range(1, FIXED_POINT_SWEEPS + 1):
+        target = lilypond_constraints(d, radii).min(axis=1)
+        new = FIXED_POINT_DAMPING * radii + (1.0 - FIXED_POINT_DAMPING) * target
+        shift = float(np.abs(new - radii).max())
+        radii = new
+        if shift < FIXED_POINT_TOL:
+            break
+    return tuple(float(r) for r in radii), _lilypond_residual(d, radii), sweeps
 
 
 def test_lilypond_fixed_point_agreement():
@@ -826,6 +834,43 @@ def test_perturbation_search_repr_equals_looped_sum():
 # -- concave argmax -----------------------------------------------------------
 
 
+# Scalar reference of exact._aloha_argmax.
+
+
+def mtp_argmax(f, lo: float, hi: float, tol: float = 1e-9) -> float:
+    """Smallest maximizer of a unimodal (e.g. concave) f on [lo, hi] within tol.
+
+    Bisects on the sign of a central-difference slope with step
+    max(tol, 1e-8 * scale); flat slopes steer left so the smallest maximizer
+    wins.  f may return -inf outside its effective domain but never NaN.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValidationError(f"need a finite interval, got [{lo}, {hi}]")
+    if tol <= 0.0:
+        raise ValidationError(f"tol must be positive, got {tol}")
+    h = max(tol, 1e-8 * max(1.0, abs(lo), abs(hi)))
+
+    def slope(x: float) -> float:
+        # stencil clamped to the interval: one-sided at the endpoints
+        a, b = f(max(x - h, lo)), f(min(x + h, hi))
+        if a == NEG_INF and b == NEG_INF:
+            return 0.0
+        return score_diff(b, a)
+
+    if slope(lo) <= 0.0:
+        return lo
+    if slope(hi) >= 0.0:
+        return hi
+    a, b = lo, hi
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if slope(mid) > 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
 def test_argmax_increasing_function():
     assert mtp_argmax(math.log, 1e-9, 1.0) == pytest.approx(1.0, abs=1e-6)
 
@@ -868,6 +913,22 @@ def test_aloha_symmetric_pair_equal_probs():
     assert 0.0 < p0 <= 1.0
 
 
+def aloha_point_objective(coupling_row: np.ndarray):
+    """Per-point objective: own log access probability plus the log of the
+    success factors this point imposes on every other receiver."""
+    row = np.asarray(coupling_row)
+
+    def g(p: float) -> float:
+        if p <= 0.0:
+            return NEG_INF
+        damp = 1.0 - p * row
+        if (damp <= 0.0).any():
+            return NEG_INF
+        return math.log(p) + float(np.log1p(-p * row).sum())
+
+    return g
+
+
 ALOHA_CASES = [
     aloha_points([(10.0, 1.0)]),
     aloha_points([(10.0, 1.0), (12.0, -1.0)]),
@@ -895,8 +956,6 @@ def test_aloha_optimal_marking_matches_per_point_argmax(case, tol):
 
 
 def test_aloha_first_order_conditions():
-    from markopt.exact import aloha_point_objective, aloha_response_terms
-
     w = periodic_cube(2, 10.0)
     from markopt.models import AlohaModel
 

@@ -39,12 +39,10 @@ from markopt.models import (
 from markopt.optimize import (
     SearchParams,
     SwapProposal,
-    apply_swap,
     exhaustive_feasible,
     find_valid_swap,
     initialize_marks,
     local_search,
-    score_difference,
     total_window_score,
 )
 from markopt import exact, optimize
@@ -96,19 +94,19 @@ def test_total_score_absorbs_inadmissible():
 def test_score_difference_single_site():
     c = wr_config([(1.0, 1.0), (2.0, 0.7), (0.3, 0.1)], marks=["0", "0", "+"])
     swap = SwapProposal((1,), (SignMark("+"),))
-    assert score_difference(c, swap, WR) == pytest.approx(2.0)
+    assert reference_gain(c, swap, WR) == pytest.approx(2.0)
 
 
 def test_score_difference_repair_is_pos_inf():
     c = hardcore_line([(2.0, 1.0, True), (3.0, 1.0, True)])
     swap = SwapProposal((0,), (Retain(False),))
-    assert score_difference(c, swap, HardcoreModel()) == POS_INF
+    assert reference_gain(c, swap, HardcoreModel()) == POS_INF
 
 
 def test_score_difference_breaking_is_neg_inf():
     c = wr_config([(1.0, 1.0), (2.0, 0.7)], marks=["+", "0"])
     swap = SwapProposal((1,), (SignMark("-"),))
-    assert score_difference(c, swap, WR) == NEG_INF
+    assert reference_gain(c, swap, WR) == NEG_INF
 
 
 @settings(max_examples=30)
@@ -123,11 +121,11 @@ def test_score_difference_antisymmetry(seed):
     old = c.points[i].opt
     new = SignMark(signs[(signs.index(old.sign) + 1) % 3])
     swap = SwapProposal((i,), (new,))
-    forward = score_difference(c, swap, WR)
+    forward = reference_gain(c, swap, WR)
     if not math.isfinite(forward):
         return
-    after = apply_swap(c, swap)
-    back = score_difference(after, SwapProposal((i,), (old,)), WR)
+    after = c.with_opt_marks({i: new})
+    back = reference_gain(after, SwapProposal((i,), (old,)), WR)
     assert back == pytest.approx(-forward)
 
 
@@ -147,7 +145,7 @@ def test_best_single_site_swap_from_all_zero():
     c = wr_config(rows, marks=["0", "0", "0"])
     swap = find_valid_swap(c, WR, SearchParams(k_max=1, mode="exhaustive"))
     assert swap is not None
-    assert score_difference(c, swap, WR) == pytest.approx(0.9)
+    assert reference_gain(c, swap, WR) == pytest.approx(0.9)
     assert swap.indices == (1,)
     assert swap.new_marks == (SignMark("-"),)
 
@@ -256,9 +254,11 @@ def test_fixed_point_verified_by_independent_enumeration():
 # and must reproduce it bit for bit.
 
 
-def reference_gain(c, swap, model, affected_fn):
-    """score_difference, with the affected set supplied by the caller."""
-    after = apply_swap(c, swap)
+def reference_gain(c, swap, model, affected_fn=None):
+    """Gain of the swap over c, rescoring the affected set (by default the
+    model's) before and after."""
+    affected_fn = affected_fn or model.affected_points
+    after = c.with_opt_marks(dict(zip(swap.indices, swap.new_marks)))
     return sum_score_diffs(
         score_diff(model.score_at(after, j), model.score_at(c, j))
         for j in affected_fn(c, swap.indices)
@@ -329,7 +329,7 @@ def reference_local_search(c, model, params, affected_fn=None):
             certificate = f"locally-optimal-k{k}" if exhaustive else "uncertified-budget-exhausted"
             break
         gain = reference_gain(c, swap, model, affected_fn)
-        c = apply_swap(c, swap)
+        c = c.with_opt_marks(dict(zip(swap.indices, swap.new_marks)))
         steps.append((swap.indices, repr(gain), repr(total_window_score(c, model))))
     else:
         certificate = "max-rounds"
@@ -621,7 +621,7 @@ def test_repair_accepted_before_finite_gains():
     m = HardcoreModel()
     swap = find_valid_swap(c, m, SearchParams(k_max=1, mode="exhaustive"))
     assert swap is not None
-    assert score_difference(c, swap, m) == POS_INF
+    assert reference_gain(c, swap, m) == POS_INF
 
 
 def test_initialize_marks_neutral_vs_random():

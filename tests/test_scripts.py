@@ -1,5 +1,7 @@
 """The demo and sweep scripts run to completion on small inputs."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -56,3 +58,44 @@ def test_bench_file_has_parent_and_change(name):
         results = json.load(fh)
     for label in ("parent", "change"):
         assert {"nproc", "python", "numpy"} <= set(results[label])
+
+
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
+
+
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read(), path)
+
+
+def _names_read(tree, strings=False):
+    """Names that a module reads: Name ids, attribute names and, if strings,
+    string constants.  A top-level definition's own body does not count as a
+    read of its name."""
+    used = set()
+    for stmt in tree.body:
+        own = stmt.name if isinstance(stmt, DEFINITIONS) else None
+        for node in ast.walk(stmt):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.value if strings and isinstance(node, ast.Constant) else None)
+            if isinstance(name, str) and name != own:
+                used.add(name)
+    return used
+
+
+def test_every_public_name_has_a_reader():
+    # a public function or class of the package that only its own definition
+    # and __init__ name is code that no pipeline path, script, benchmark
+    # tracer or acceptance criterion runs
+    modules = [_parse(p) for p in glob.glob(os.path.join(ROOT, "src", "markopt", "*.py"))
+               if os.path.basename(p) != "__init__.py"]
+    readers = [_parse(p) for p in glob.glob(os.path.join(ROOT, "scripts", "*.py"))]
+    readers.append(_parse(os.path.join(ROOT, "tests", "test_acceptance.py")))
+    bench = [_parse(p) for p in glob.glob(os.path.join(ROOT, "perfbench", "*.py"))]
+    used = set().union(*map(_names_read, modules + readers),
+                       *(_names_read(t, strings=True) for t in bench))
+    public = {stmt.name for tree in modules for stmt in tree.body
+              if isinstance(stmt, DEFINITIONS) and not stmt.name.startswith("_")}
+    unread = sorted(public - used)
+    assert not unread, f"public names nothing reads: {', '.join(unread)}"
