@@ -1,17 +1,22 @@
-"""Cost of writing and reading one configuration file.
+"""Cost of sampling, writing and reading one configuration file.
 
-Times ``dump_configuration`` and ``load_configuration`` on 2-d hard-core
-grains at unit intensity with n of about 3, 25, 250 and 2500 points, every
-other grain retained, and on weighted sign chains of 100 and 10^4 sites with
-cycling signs.  Each figure is the median of repeated calls on one path in a
-temporary directory, so every dump after the first overwrites the file, as a
-rerun into the same run directory does; the file's size is recorded next to
-it.
+Times ``sample_poisson_configuration`` (with the model's base sampler) on
+2-d hard-core grains at unit intensity with n of about 3, 25, 250 and 2500
+points, and ``sample_weighted_line`` on weighted sign chains of 100 and 10^4
+sites.  Every other grain is then retained and the chain's signs cycle, and
+the marked configuration is written by ``dump_configuration`` and read back
+in two steps: ``read_json`` parses the file (``parse_us``) and
+``configuration_from_json`` builds the configuration (``decode_us``); their
+sum is what ``load_configuration`` costs.  Each figure is the median of
+repeated calls; the dumps go to one path in a temporary directory, so every
+dump after the first overwrites the file, as a rerun into the same run
+directory does.  The file's size is recorded next to them.
 
-It reads markopt only through its public API, so it runs against any markopt
-source tree on PYTHONPATH.  Results go under ``--label`` into
-BENCH_config_io.json in the working directory; the entries of other labels
-in that file are kept, so one file can hold the figures of two trees:
+It reads markopt only through names that it has long had, so it runs
+against any markopt source tree on PYTHONPATH.  Results go under
+``--label`` into BENCH_config_io.json in the working directory; the entries
+of other labels in that file are kept, so one file can hold the figures of
+two trees:
 
     PYTHONPATH=<parent>/src python3 scripts/io_sweep.py --label parent
     PYTHONPATH=src python3 scripts/io_sweep.py --label change
@@ -32,11 +37,11 @@ from markopt import (
     Retain,
     SignMark,
     dump_configuration,
-    load_configuration,
     periodic_cube,
     sample_poisson_configuration,
     sample_weighted_line,
 )
+from markopt.core import configuration_from_json, read_json
 
 from bench_file import write_bench
 
@@ -48,18 +53,25 @@ REPEATS = 21
 OUT = "BENCH_config_io.json"
 
 
-def grains(n: int) -> Configuration:
-    """Poisson grains at unit intensity on a square of area n."""
+def grains(n: int):
+    """Sampler of Poisson grains at unit intensity on a square of area n,
+    and the marking that retains every other grain."""
     window = periodic_cube(2, math.sqrt(n))
-    c = sample_poisson_configuration(
-        window, 1.0, MODEL.kind, MODEL.default_base_sampler(window), SEED
+
+    def sample() -> Configuration:
+        return sample_poisson_configuration(
+            window, 1.0, MODEL.kind, MODEL.default_base_sampler(window), SEED
+        )
+
+    return sample, lambda c: c.with_opt_marks({i: Retain(i % 2 == 0) for i in range(c.n_points)})
+
+
+def chain(sites: int):
+    """Sampler of a weighted chain, and the marking with cycling signs."""
+    return (
+        lambda: sample_weighted_line(sites, SEED),
+        lambda c: c.with_opt_marks({i: SignMark("0+-"[i % 3]) for i in range(sites)}),
     )
-    return c.with_opt_marks({i: Retain(i % 2 == 0) for i in range(c.n_points)})
-
-
-def chain(sites: int) -> Configuration:
-    c = sample_weighted_line(sites, SEED)
-    return c.with_opt_marks({i: SignMark("0+-"[i % 3]) for i in range(sites)})
 
 
 def median_s(call) -> float:
@@ -72,16 +84,22 @@ def median_s(call) -> float:
     return statistics.median(times)
 
 
-def io_point(kind: str, c: Configuration, path: str) -> dict:
+def io_point(kind: str, sample, mark, path: str) -> dict:
+    sample_s = median_s(sample)
+    c = mark(sample())
     dump_s = median_s(lambda: dump_configuration(c, path))
-    load_s = median_s(lambda: load_configuration(path))
-    assert load_configuration(path) == c
+    parse_s = median_s(lambda: read_json(path))
+    obj = read_json(path)
+    decode_s = median_s(lambda: configuration_from_json(obj))
+    assert configuration_from_json(obj) == c
     return {
         "kind": kind,
         "n": c.n_points,
         "bytes": os.path.getsize(path),
+        "sample_us": sample_s * 1e6,
         "dump_us": dump_s * 1e6,
-        "load_us": load_s * 1e6,
+        "parse_us": parse_s * 1e6,
+        "decode_us": decode_s * 1e6,
     }
 
 
@@ -89,15 +107,16 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this tree's results")
     args = parser.parse_args()
-    cases = [("grains", grains(n)) for n in GRAIN_SIZES]
-    cases += [("chain", chain(sites)) for sites in CHAIN_SITES]
+    cases = [("grains", *grains(n)) for n in GRAIN_SIZES]
+    cases += [("chain", *chain(sites)) for sites in CHAIN_SITES]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "configuration.json")
-        points = [io_point(kind, c, path) for kind, c in cases]
+        points = [io_point(kind, sample, mark, path) for kind, sample, mark in cases]
     write_bench(OUT, args.label, {"repeats": REPEATS, "io": points})
     for point in points:
-        print(f"{args.label} {point['kind']} n={point['n']}: dump {point['dump_us']:.0f} us, "
-              f"load {point['load_us']:.0f} us, {point['bytes']} bytes")
+        print(f"{args.label} {point['kind']} n={point['n']}: sample {point['sample_us']:.0f} us, "
+              f"dump {point['dump_us']:.0f} us, parse {point['parse_us']:.0f} us, "
+              f"decode {point['decode_us']:.0f} us, {point['bytes']} bytes")
 
 
 if __name__ == "__main__":

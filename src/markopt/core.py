@@ -513,18 +513,50 @@ def rng(seed: int, *stream: int) -> np.random.Generator:
 BaseSampler = Callable[[np.random.Generator], BaseMark | None]
 
 
-def grain_radius_sampler(lo: float, hi: float) -> BaseSampler:
+def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Generator.uniform(lo, hi) applied to standard uniforms u: numpy
+    computes lo + (hi - lo) * u from each double that Generator.random gives,
+    and refuses a span hi - lo that is negative or not finite."""
+    span = hi - lo
+    if not 0.0 <= span < POS_INF:
+        raise ValidationError(f"uniform range needs 0 <= hi - lo < inf, got ({lo}, {hi})")
+    return lo + span * u
+
+
+@dataclass(frozen=True)
+class UniformMarkSampler:
+    """A base sampler whose mark is a function of ``width`` standard uniforms.
+
+    ``marks(u)`` builds one mark per row of an (n, width) array of
+    ``Generator.random`` draws; a call draws one row.  Generator.random and
+    Generator.uniform take one 64-bit word per double, in order, so one
+    array serves a whole configuration with the words of n single draws.
+    """
+
+    width: int
+    marks: Callable[[np.ndarray], list]
+
+    def __call__(self, g: np.random.Generator) -> BaseMark:
+        return self.marks(g.random((1, self.width)))[0]
+
+
+def grain_radius_sampler(lo: float, hi: float) -> UniformMarkSampler:
     if not 0.0 < lo <= hi:
         raise ValidationError(f"radius range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
-    return lambda g: GrainRadius(float(g.uniform(lo, hi)))
+    return UniformMarkSampler(1, lambda u: list(map(GrainRadius, _uniform(u[:, 0], lo, hi).tolist())))
 
 
-def color_sampler(p_blue: float = 0.5) -> BaseSampler:
-    return lambda g: ColorMark("blue" if g.random() < p_blue else "red")
+_BLUE, _RED = ColorMark("blue"), ColorMark("red")
 
 
-def weight_pair_sampler(lo: float = 0.0, hi: float = 1.0) -> BaseSampler:
-    return lambda g: WeightPair(float(g.uniform(lo, hi)), float(g.uniform(lo, hi)))
+def color_sampler(p_blue: float = 0.5) -> UniformMarkSampler:
+    return UniformMarkSampler(1, lambda u: [_BLUE if b else _RED for b in (u[:, 0] < p_blue).tolist()])
+
+
+def weight_pair_sampler(lo: float = 0.0, hi: float = 1.0) -> UniformMarkSampler:
+    return UniformMarkSampler(
+        2, lambda u: [WeightPair(a, b) for a, b in _uniform(u, lo, hi).tolist()]
+    )
 
 
 def receiver_offset_sampler(dim: int) -> BaseSampler:
@@ -554,34 +586,45 @@ def sample_poisson_configuration(
         raise ValidationError(f"intensity must be finite and > 0, got {intensity}")
     g = rng(seed, *stream)
     n = int(g.poisson(intensity * window.volume))
+    dim, side = window.dim, window.side
 
+    if base_sampler is None or isinstance(base_sampler, UniformMarkSampler):
+        # row k holds point k's coordinates, then the uniforms of its base mark
+        width = dim + (base_sampler.width if base_sampler is not None else 0)
+        u = g.random((n, width))
+        positions = map(tuple, _uniform(u[:, :dim], 0.0, side).tolist())
+        bases = base_sampler.marks(u[:, dim:]) if base_sampler is not None else [None] * n
+        return Configuration(window, model_id, tuple(map(MarkedPoint, positions, bases)))
+
+    # a normal draw takes a variable number of words, so offsets go point by point
     points = []
     for _ in range(n):
-        pos = tuple(float(x) for x in g.uniform(0.0, window.side, size=window.dim))
-        base = base_sampler(g) if base_sampler is not None else None
-        points.append(MarkedPoint(position=pos, base=base))
+        pos = tuple(float(x) for x in g.uniform(0.0, side, size=dim))
+        points.append(MarkedPoint(position=pos, base=base_sampler(g)))
     return Configuration(window, model_id, tuple(points))
+
+
+def _sample_weighted_graph(
+    window: Window, model_id: str, seed: int, stream: tuple, lo: float, hi: float
+) -> Configuration:
+    """One point per site of a graph window, with iid uniform weight pairs."""
+    count = window.site_count
+    bases = weight_pair_sampler(lo, hi).marks(rng(seed, *stream).random((count, 2)))
+    return Configuration(window, model_id, tuple(map(MarkedPoint, range(count), bases)))
 
 
 def sample_weighted_line(
     n_sites: int, seed: int, *stream: int, lo: float = 0.0, hi: float = 1.0
 ) -> Configuration:
     """Integer line with one point per site and iid uniform weight pairs."""
-    g = rng(seed, *stream)
-    sampler = weight_pair_sampler(lo, hi)
-    points = tuple(MarkedPoint(position=i, base=sampler(g)) for i in range(n_sites))
-    return Configuration(integer_line(n_sites), "wr_line", points)
+    return _sample_weighted_graph(integer_line(n_sites), "wr_line", seed, stream, lo, hi)
 
 
 def sample_weighted_tree(
     depth: int, seed: int, *stream: int, lo: float = 0.0, hi: float = 1.0
 ) -> Configuration:
     """Tree ball with one point per vertex and iid uniform weight pairs."""
-    g = rng(seed, *stream)
-    sampler = weight_pair_sampler(lo, hi)
-    count = tree_vertex_count(depth)
-    points = tuple(MarkedPoint(position=i, base=sampler(g)) for i in range(count))
-    return Configuration(tree_ball(depth), "wr_tree", points)
+    return _sample_weighted_graph(tree_ball(depth), "wr_tree", seed, stream, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -687,31 +730,46 @@ def window_from_json(obj: object) -> Window:
     return Window(kind, **params)
 
 
-def _mark_decoder(cls: type) -> tuple:
-    """(cls, type hint of its JSON value, whether it has several fields,
-    whether they are all floats)."""
+def _value_hint(cls: type):
+    """The type hint of a mark's JSON value: its one field's, or the tuple
+    of its fields' if it has several."""
     hints = tuple(_type_hints(cls).values())
-    several = len(hints) > 1
-    return cls, tuple[hints] if several else hints[0], several, all(h is float for h in hints)
+    return tuple[hints] if len(hints) > 1 else hints[0]
 
 
-# class -> (tag, getter of the mark's JSON value); slot -> tag -> decoder
-_MARK_ENCODERS = {
-    cls: (tag, operator.attrgetter(*_type_hints(cls)))
-    for cls, tag in {**BASE_MARK_TAGS, **OPT_MARK_TAGS}.items()
-}
+def _value_decoder(cls: type, tag: str) -> Callable[[object], BaseMark | OptMark]:
+    """The decoder of a {tag: value} mark of class cls: value -> mark.
+
+    A value of exactly its field's type, or a list whose items all have
+    exactly the item type, is taken as it is.  Any other value goes through
+    json_typed, which accepts what it fits (an int or an np.float64 for a
+    float, a tuple for a list) and refuses the rest with its message."""
+    several = len(_type_hints(cls)) > 1
+    hint = _value_hint(cls)
+    origin, args = _hint_parts(hint)
+    if origin is not tuple:
+        if hint is float:  # json_typed lets an int or an np.float64 through
+            return lambda v: cls(v if type(v) is float else float(json_typed(v, hint, tag)))
+        return lambda v: cls(v if type(v) is hint else json_typed(v, hint, tag))
+    item = args[0]  # every field of a mark, or item of its tuple, has one type
+    length = None if args[-1] is Ellipsis else len(args)
+
+    def decode(v):
+        if not (type(v) is list and (length is None or len(v) == length)
+                and all(type(x) is item for x in v)):
+            v = json_typed(v, hint, tag)
+            if item is float:
+                v = map(float, v)
+        return cls(*v) if several else cls(tuple(v))
+
+    return decode
+
+
+# slot -> tag -> decoder
 _MARK_DECODERS = {
-    slot: {tag: _mark_decoder(cls) for cls, tag in tags.items()}
+    slot: {tag: _value_decoder(cls, tag) for cls, tag in tags.items()}
     for slot, tags in (("base", BASE_MARK_TAGS), ("opt", OPT_MARK_TAGS))
 }
-
-
-def mark_to_json(mark: BaseMark | OptMark | None) -> dict | None:
-    if mark is None:
-        return None
-    tag, get = _MARK_ENCODERS[type(mark)]
-    value = get(mark)
-    return {tag: list(value) if type(value) is tuple else value}
 
 
 def mark_from_json(obj: object, slot: str) -> BaseMark | OptMark | None:
@@ -721,14 +779,10 @@ def mark_from_json(obj: object, slot: str) -> BaseMark | OptMark | None:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValidationError(f"{slot} mark must be a single-key object, got {obj!r}")
     ((tag, value),) = obj.items()
-    entry = _MARK_DECODERS[slot].get(tag)
-    if entry is None:
+    decode = _MARK_DECODERS[slot].get(tag)
+    if decode is None:
         raise ValidationError(f"unknown {slot} mark tag {tag!r}")
-    cls, hint, several, floats = entry
-    json_typed(value, hint, tag)
-    if several:
-        return cls(*map(float, value)) if floats else cls(*value)
-    return cls(float(value) if floats else value)
+    return decode(value)
 
 
 def configuration_from_json(obj: object) -> Configuration:
@@ -746,12 +800,17 @@ def configuration_from_json(obj: object) -> Configuration:
             raise ValidationError(f"point {k} must be an object")
         if key not in entry:
             raise ValidationError(f"point {k} is missing {key}")
-        position = json_typed(entry[key], hint, f"point {k} {key}")
+        position = entry[key]
+        if cube:  # a list of plain floats is taken as it is, like a mark's
+            if not (type(position) is list and all(type(x) is float for x in position)):
+                position = map(float, json_typed(position, hint, f"point {k} {key}"))
+            position = tuple(position)
+        elif type(position) is not int:
+            position = json_typed(position, hint, f"point {k} {key}")
         points.append(
             MarkedPoint(
-                position=tuple(map(float, position)) if cube else position,
-                base=mark_from_json(entry.get("base"), "base"),
-                opt=mark_from_json(entry.get("opt"), "opt"),
+                position, mark_from_json(entry.get("base"), "base"),
+                mark_from_json(entry.get("opt"), "opt"),
             )
         )
     return Configuration(window, json_typed(obj["model_id"], str, "model_id"), tuple(points))
@@ -778,37 +837,59 @@ def _json_scalar(value: object) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _json_list(values: Sequence, level: int) -> str:
+def _json_float(value: object) -> str:
+    """_json_scalar(value) for a float field: a finite float skips its tests."""
+    if type(value) is float and NEG_INF < value < POS_INF:
+        return float.__repr__(value)
+    return _json_scalar(value)
+
+
+def _json_list(values: Sequence, level: int, scalar: Callable[[object], str] = _json_scalar) -> str:
     """A list of scalars as json.dump(indent=1) writes it at nesting level."""
     if not values:
         return "[]"
     inner = "\n" + " " * (level + 1)
-    return "[" + inner + ("," + inner).join(map(_json_scalar, values)) + "\n" + " " * level + "]"
+    return "[" + inner + ("," + inner).join(map(scalar, values)) + "\n" + " " * level + "]"
 
 
-def _mark_text(mark: BaseMark | OptMark | None) -> str:
-    """mark_to_json(mark) as json.dump(indent=1) writes it in a point."""
-    obj = mark_to_json(mark)
-    if obj is None:
-        return "null"
-    ((tag, value),) = obj.items()
-    value = _json_list(value, 4) if type(value) is list else _json_scalar(value)
-    return "{\n    " + encode_basestring_ascii(tag) + ": " + value + "\n   }"
+def _text_builder(cls: type, tag: str) -> Callable[[BaseMark | OptMark], str]:
+    """The builder of a mark's text in a point, as json.dump(indent=1)
+    writes {tag: value}: the value is the mark's one field, or the list of
+    its fields, and a tuple field is a list."""
+    get = operator.attrgetter(*_type_hints(cls))
+    head, tail = "{\n    " + encode_basestring_ascii(tag) + ": ", "\n   }"
+    hint = _value_hint(cls)
+    origin, args = _hint_parts(hint)
+    if origin is tuple:
+        scalar = _json_float if args[0] is float else _json_scalar
+        return lambda mark: head + _json_list(get(mark), 4, scalar) + tail
+    scalar = _json_float if hint is float else _json_scalar
+    return lambda mark: head + scalar(get(mark)) + tail
+
+
+# mark class -> text builder; None is null
+_MARK_TEXT = {
+    cls: _text_builder(cls, tag) for cls, tag in {**BASE_MARK_TAGS, **OPT_MARK_TAGS}.items()
+}
+_MARK_TEXT[type(None)] = lambda mark: "null"
 
 
 def configuration_text(c: Configuration) -> str:
     """The text of c's configuration file: the bytes that json.dump(obj, fh,
-    indent=1) and a newline write for the layout above, built in one pass."""
+    indent=1) and a newline write for the layout above, built in one pass
+    with one text builder per mark class."""
     window = ",\n  ".join(
         encode_basestring_ascii(key) + ": " + _json_scalar(value)
         for key, value in window_to_json(c.window).items()
     )
     if c.window.kind == "cube":
-        positions = ['"pos": ' + _json_list(p.position, 3) for p in c.points]
+        positions = ['"pos": ' + _json_list(p.position, 3, _json_float) for p in c.points]
     else:
         positions = ['"site": ' + _json_scalar(p.position) for p in c.points]
+    text = _MARK_TEXT
     points = [
-        '{\n   %s,\n   "base": %s,\n   "opt": %s\n  }' % (position, _mark_text(p.base), _mark_text(p.opt))
+        '{\n   %s,\n   "base": %s,\n   "opt": %s\n  }'
+        % (position, text[type(p.base)](p.base), text[type(p.opt)](p.opt))
         for position, p in zip(positions, c.points)
     ]
     body = "[\n  " + ",\n  ".join(points) + "\n ]" if points else "[]"

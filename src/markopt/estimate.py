@@ -16,7 +16,7 @@ import json
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -586,7 +586,8 @@ RESULT_COLUMNS = ("experiment", "policy", *(f.name for f in fields(ReplicateReco
 
 
 def record_to_row(experiment: str, policy_label: str, record: ReplicateRecord) -> dict:
-    row = dict(zip(RESULT_COLUMNS, (experiment, policy_label, *astuple(record))))
+    # vars, not astuple: the fields are scalars, and astuple deep-copies each
+    row = {"experiment": experiment, "policy": policy_label, **vars(record)}
     row["elapsed_ms"] = round(record.elapsed_ms, 3)
     return row
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import typing
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markopt.core import (
+    BASE_MARK_TAGS,
     NEG_INF,
+    OPT_MARK_TAGS,
     AccessProb,
     ColorMark,
     Configuration,
@@ -24,20 +27,22 @@ from markopt.core import (
     SignMark,
     ValidationError,
     WeightPair,
+    color_sampler,
     configuration_from_json,
     configuration_text,
     dump_configuration,
+    grain_radius_sampler,
     graph_neighbors,
     integer_line,
     is_admissible,
     json_typed,
     load_configuration,
     mark_from_json,
-    mark_to_json,
     pairwise_torus_distances,
     pairwise_torus_linf,
     periodic_cube,
     positions_array,
+    receiver_offset_sampler,
     rng,
     sample_poisson_configuration,
     sample_weighted_line,
@@ -52,9 +57,11 @@ from markopt.core import (
     tree_ball,
     tree_structure,
     tree_vertex_count,
+    weight_pair_sampler,
     window_from_json,
     window_to_json,
 )
+from markopt.models import AlohaModel, CachingModel, HardcoreModel, LilypondModel, MatchingModel
 
 finite_scores = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -242,6 +249,130 @@ def test_weighted_tree_shape():
     assert c.window.kind == "tree"
 
 
+# -- bulk samplers against the per-point loop they replace ----------------------
+
+
+def _old_grain_radius_sampler(lo, hi):
+    return lambda g: GrainRadius(float(g.uniform(lo, hi)))
+
+
+def _old_color_sampler(p_blue):
+    return lambda g: ColorMark("blue" if g.random() < p_blue else "red")
+
+
+def _old_weight_pair_sampler(lo, hi):
+    return lambda g: WeightPair(float(g.uniform(lo, hi)), float(g.uniform(lo, hi)))
+
+
+def _old_receiver_offset_sampler(dim):
+    def sample(g):
+        v = g.normal(size=dim)
+        norm = float(np.linalg.norm(v))
+        while norm < 1e-12:
+            v = g.normal(size=dim)
+            norm = float(np.linalg.norm(v))
+        return ReceiverOffset(tuple(float(x) for x in v / norm))
+
+    return sample
+
+
+def _old_sample_poisson_configuration(window, intensity, model_id, base_sampler, seed, *stream):
+    g = rng(seed, *stream)
+    n = int(g.poisson(intensity * window.volume))
+    points = []
+    for _ in range(n):
+        pos = tuple(float(x) for x in g.uniform(0.0, window.side, size=window.dim))
+        base = base_sampler(g) if base_sampler is not None else None
+        points.append(MarkedPoint(position=pos, base=base))
+    return Configuration(window, model_id, tuple(points))
+
+
+def _old_weighted_points(count, seed, stream, lo, hi):
+    g = rng(seed, *stream)
+    sampler = _old_weight_pair_sampler(lo, hi)
+    return tuple(MarkedPoint(position=i, base=sampler(g)) for i in range(count))
+
+
+def _sampler_cases(dim):
+    """(model, its default base sampler's per-point copy) for every base mark
+    a model draws, colours at three blue probabilities."""
+    cases = [
+        (HardcoreModel(radius_lo=0.2, radius_hi=0.6), _old_grain_radius_sampler(0.2, 0.6)),
+        (CachingModel(radius_lo=0.3, radius_hi=0.9), _old_grain_radius_sampler(0.3, 0.9)),
+        (LilypondModel(), None),
+        (AlohaModel(), _old_receiver_offset_sampler(dim)),
+    ]
+    cases += [(MatchingModel(p_blue=p), _old_color_sampler(p)) for p in (0.0, 0.37, 1.0)]
+    return cases
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_poisson_sampler_matches_per_point_loop(dim):
+    sizes = set()
+    for side, intensity in ((1.0, 0.7), (4.0, 2.0)):
+        w = periodic_cube(dim, side)
+        for model, old_sampler in _sampler_cases(dim):
+            for seed, stream in ((0, ()), (1, (2,)), (7, (0, 3)), (123456789, (5, 1)), (2**64 - 1, (9,))):
+                args = (w, intensity, model.kind)
+                new = sample_poisson_configuration(*args, model.default_base_sampler(w), seed, *stream)
+                old = _old_sample_poisson_configuration(*args, old_sampler, seed, *stream)
+                assert repr(new) == repr(old)
+                sizes.add(new.n_points)
+    assert {0, 1} <= sizes and max(sizes) >= 5
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.25, 3.5), (2.0, 2.0)])
+def test_weighted_samplers_match_per_point_loop(lo, hi):
+    for seed, stream in ((0, ()), (3, (1,)), (99, (4, 2))):
+        for n_sites in (1, 2, 17):
+            new = sample_weighted_line(n_sites, seed, *stream, lo=lo, hi=hi)
+            assert repr(new.points) == repr(_old_weighted_points(n_sites, seed, stream, lo, hi))
+        for depth in (0, 1, 3):
+            new = sample_weighted_tree(depth, seed, *stream, lo=lo, hi=hi)
+            count = tree_vertex_count(depth)
+            assert repr(new.points) == repr(_old_weighted_points(count, seed, stream, lo, hi))
+
+
+@pytest.mark.parametrize("lo, hi", [(0.8, 0.2), (0.0, math.inf), (-1e308, 1e308), (0.0, math.nan)])
+def test_samplers_refuse_the_ranges_that_uniform_refuses(lo, hi):
+    # the per-point loop raised numpy's ValueError or OverflowError here
+    with pytest.raises((ValueError, OverflowError)):
+        _old_weighted_points(3, 1, (), lo, hi)
+    with pytest.raises(ValidationError, match="uniform range"):
+        sample_weighted_line(3, 1, lo=lo, hi=hi)
+    with pytest.raises(ValidationError, match="uniform range"):
+        sample_weighted_tree(1, 1, lo=lo, hi=hi)
+    if hi == math.inf:
+        # an infinite radius range gets past the grain sampler's own check
+        with pytest.raises(ValidationError, match="uniform range"):
+            sample_poisson_configuration(periodic_cube(2, 5.0), 1.0, "hardcore",
+                                         grain_radius_sampler(0.1, hi), 1)
+
+
+@pytest.mark.parametrize(
+    "new, old",
+    [
+        (grain_radius_sampler(0.1, 0.6), _old_grain_radius_sampler(0.1, 0.6)),
+        (color_sampler(0.37), _old_color_sampler(0.37)),
+        (weight_pair_sampler(0.5, 2.0), _old_weight_pair_sampler(0.5, 2.0)),
+        (receiver_offset_sampler(3), _old_receiver_offset_sampler(3)),
+    ],
+)
+def test_per_point_sampler_call_takes_the_same_draws(new, old):
+    # one call between other draws of the same generator, as hand-built
+    # test configurations use them
+    out = []
+    for sampler in (new, old):
+        g = rng(11, 5, 7)
+        draws = []
+        for _ in range(30):
+            draws.append(tuple(float(x) for x in g.uniform(0.0, 3.0, size=2)))
+            draws.append(sampler(g))
+            draws.append(float(g.random()))
+        out.append(repr(draws))
+    assert out[0] == out[1]
+
+
 def test_substream_determinism():
     g1 = rng(5, 1, 2)
     g2 = rng(5, 1, 2)
@@ -399,8 +530,6 @@ def test_truncated_file_raises(tmp_path):
 @settings(max_examples=25)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_round_trip_bit_exact_random(seed):
-    from markopt.core import grain_radius_sampler
-
     w = periodic_cube(2, 10.0)
     sampler = grain_radius_sampler(0.05, 0.15)
     c = sample_poisson_configuration(w, 0.3, "hardcore", sampler, seed)
@@ -548,10 +677,17 @@ CODEC_MARKS = [
 ]
 
 
+def _mark_json(slot, mark):
+    """The JSON value that configuration_text writes for mark in a point's slot."""
+    point = MarkedPoint(0, mark, None) if slot == "base" else MarkedPoint(0, None, mark)
+    text = configuration_text(Configuration(integer_line(1), "wr_line", (point,)))
+    return json.loads(text)["points"][0][slot]
+
+
 @pytest.mark.parametrize("slot, mark", CODEC_MARKS, ids=repr)
 def test_mark_codec_matches_if_chains(slot, mark):
     old_to, old_from = _OLD_MARK_CODECS[slot]
-    obj = mark_to_json(mark)
+    obj = _mark_json(slot, mark)
     assert obj == old_to(mark) and repr(obj) == repr(old_to(mark))
     back = mark_from_json(obj, slot)
     assert back == old_from(obj) == mark and repr(back) == repr(old_from(obj))
@@ -574,9 +710,9 @@ def test_mark_codec_matches_if_chains(slot, mark):
 def test_mark_from_json_makes_ints_in_float_fields_floats(slot, obj):
     back = mark_from_json(obj, slot)
     assert repr(back) == repr(_OLD_MARK_CODECS[slot][1](obj))
-    assert mark_to_json(back) == _OLD_MARK_CODECS[slot][0](back)
+    assert _mark_json(slot, back) == _OLD_MARK_CODECS[slot][0](back)
     if isinstance(back, GrainRadius):
-        assert type(back.radius) is float and mark_to_json(back) == {"grain": 1.0}
+        assert type(back.radius) is float and repr(_mark_json(slot, back)) == "{'grain': 1.0}"
 
 
 @pytest.mark.parametrize(
@@ -610,6 +746,127 @@ def test_mark_from_json_rejects_wrong_slot_tag_and_type(slot, obj):
         mark_from_json(obj, slot)
     with pytest.raises(ValidationError):
         _OLD_MARK_CODECS[slot][1](obj)
+
+
+# the decoder that one table row per mark class drove before each (slot, tag)
+# had its own decoder, with the position check of configuration_from_json
+
+
+def _old_mark_decoder(cls):
+    hints = tuple(typing.get_type_hints(cls).values())
+    several = len(hints) > 1
+    return cls, tuple[hints] if several else hints[0], several, all(h is float for h in hints)
+
+
+_OLD_MARK_DECODERS = {
+    slot: {tag: _old_mark_decoder(cls) for cls, tag in tags.items()}
+    for slot, tags in (("base", BASE_MARK_TAGS), ("opt", OPT_MARK_TAGS))
+}
+
+
+def _old_mark_from_json(obj, slot):
+    if obj is None:
+        return None
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise ValidationError(f"{slot} mark must be a single-key object, got {obj!r}")
+    ((tag, value),) = obj.items()
+    entry = _OLD_MARK_DECODERS[slot].get(tag)
+    if entry is None:
+        raise ValidationError(f"unknown {slot} mark tag {tag!r}")
+    cls, hint, several, floats = entry
+    json_typed(value, hint, tag)
+    if several:
+        return cls(*map(float, value)) if floats else cls(*value)
+    return cls(float(value) if floats else value)
+
+
+def _old_configuration_from_json(obj):
+    window = window_from_json(obj["window"])
+    cube = window.kind == "cube"
+    key, hint = ("pos", tuple[float, ...]) if cube else ("site", int)
+    points = []
+    for k, entry in enumerate(json_typed(obj["points"], list, "points")):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"point {k} must be an object")
+        if key not in entry:
+            raise ValidationError(f"point {k} is missing {key}")
+        position = json_typed(entry[key], hint, f"point {k} {key}")
+        points.append(
+            MarkedPoint(
+                position=tuple(map(float, position)) if cube else position,
+                base=_old_mark_from_json(entry.get("base"), "base"),
+                opt=_old_mark_from_json(entry.get("opt"), "opt"),
+            )
+        )
+    return Configuration(window, json_typed(obj["model_id"], str, "model_id"), tuple(points))
+
+
+def _outcome(decode, *args):
+    """repr of decode(*args), or the message of the ValidationError it raises."""
+    try:
+        return repr(decode(*args))
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+NAN = float("nan")
+F64 = np.float64
+
+# values of every tag: bools in float fields, strings, nested lists, wrong
+# list lengths and NaN are refused or accepted as before; np.float64 values,
+# ints in float fields and tuples for lists are accepted
+DECODER_VALUES = {
+    "grain": [0.5, 2, True, False, "0.5", [0.5], NAN, -0.5, F64(0.25), None],
+    "color": ["blue", "red", "green", 1, True, ["blue"], None],
+    "weights": [[0.5, 0.25], [1, 0], (0.5, 0.25), [F64(0.5), 0.25], [True, 0.5], [0.5, False],
+                ["0.5", 0.5], [[0.5], 0.5], [0.5], [0.5, 0.5, 0.5], [], [NAN, 0.5], [0.5, -1.0],
+                0.5, None],
+    "offset": [[0.6, 0.8], [1, 0], (0.0, -1.0), [F64(0.6), 0.8], [True, 0.0], ["1.0"], [[1.0]],
+               [], [0.6, 0.8, 0.0], [NAN, 1.0], [0.5, 0.5], 1.0],
+    "retain": [True, False, 1, 0, "true", [True], None],
+    "sign": ["+", "-", "0", "x", 1, True, ["+"]],
+    "radius": [0.0, 1.5, 3, True, "1", NAN, -1.0, F64(0.5), [1.0]],
+    "prob": [1.0, 0.25, 1, 0, True, NAN, 1.5, F64(0.75), "0.5"],
+    "items": [[], [1, 3], (1, 2), [True], [1.5], ["1"], [[1]], [2, 1], [0], [1, 1], 1,
+              [np.int64(1)]],
+    "partner": [0, -1, 7, True, 1.0, "1", [1], np.int64(3), None],
+}
+
+
+@pytest.mark.parametrize("tag", sorted(DECODER_VALUES))
+def test_mark_decoder_matches_old_decoder_on_refusals(tag):
+    for slot in ("base", "opt"):
+        for value in DECODER_VALUES[tag]:
+            obj = {tag: value}
+            assert _outcome(mark_from_json, obj, slot) == _outcome(_old_mark_from_json, obj, slot)
+    assert any(
+        _outcome(mark_from_json, {tag: v}, s).startswith("ValidationError: " + tag)
+        for v in DECODER_VALUES[tag] for s in ("base", "opt")
+    )
+
+
+@pytest.mark.parametrize(
+    "window, positions",
+    [
+        ({"kind": "cube", "d": 2, "L": 5.0},
+         [[0.5, 1.5], [1, 2], (0.5, 2.5), [F64(0.5), 3.5], [True, 0.5], [0.5, False], ["0.5", 1.0],
+          [[0.5], 1.0], [0.5], [0.5, 1.0, 1.5], [], [NAN, 0.5], [0.5, 6.0], [-0.5, 1.0], 0.5,
+          None, [0.5, 1.5]]),
+        ({"kind": "cube", "d": 1, "L": 3.0}, [[0.0], [2.9], [True], [3], [F64(1.0)], (1.5,)]),
+        ({"kind": "line", "n": 2}, [0, 1, True, 1.0, "1", [1], np.int64(1), None, 2]),
+    ],
+    ids=lambda v: v["kind"] if isinstance(v, dict) else "",
+)
+def test_position_decoder_matches_old_decoder(window, positions):
+    for value in positions:
+        # the value as the first point and as the last one
+        if window["kind"] == "cube":
+            cases = [[{"pos": value}], [{"pos": [0.1] * window["d"]}, {"pos": value}]]
+        else:
+            cases = [[{"site": value}, {"site": 1}], [{"site": 0}, {"site": value}]]
+        for points in cases:
+            obj = {"window": window, "model_id": "x", "points": points}
+            assert _outcome(configuration_from_json, obj) == _outcome(_old_configuration_from_json, obj)
 
 
 @pytest.mark.parametrize(

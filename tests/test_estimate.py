@@ -143,9 +143,6 @@ def test_sparse_all_retain_matches_campbell_mean():
 def test_stderr_scaling_with_replicates():
     m = HardcoreModel()
     kwargs = dict(intensity=0.5, seed=9)
-    small = intensity_estimate(
-        m, periodic_cube(1, 10.0), Policy("neutral"), replicates=100, **kwargs
-    )
     # neutral scores are deterministic zero; use all-retain for spread
     small = intensity_estimate(
         m, periodic_cube(1, 10.0), Policy("all-retain"), replicates=100, **kwargs
@@ -429,6 +426,19 @@ def test_csv_round_trip(tmp_path):
     assert back[0]["admissible"] is True
     assert back[1]["total_score"] == NEG_INF
     assert back[1]["admissible"] is False
+
+
+def test_record_to_row_matches_astuple_row():
+    from dataclasses import astuple
+
+    from markopt.estimate import RESULT_COLUMNS, ReplicateRecord
+
+    for rec in (ReplicateRecord(0, 7, 3, 1.25, True, 0.5),
+                ReplicateRecord(1, 8, 0, NEG_INF, False, 1.2345678)):
+        row = record_to_row("exp", "neutral", rec)
+        old = dict(zip(RESULT_COLUMNS, ("exp", "neutral", *astuple(rec))))
+        old["elapsed_ms"] = round(rec.elapsed_ms, 3)
+        assert list(row) == list(RESULT_COLUMNS) and repr(row) == repr(old)
 
 
 def test_csv_deterministic_bytes(tmp_path):
