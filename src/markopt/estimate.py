@@ -426,17 +426,17 @@ def stabilization_sample(
     epsilon: float = 1e-6,
 ) -> StabilizationSample:
     """Sample stabilization radii of every point across replicate draws."""
+    if model.kind not in ("hardcore", "aloha"):
+        raise UnsupportedModelError(f"{model.kind} has no stabilization radius")
     model.validate_for_window(window)
     per = []
     for k in range(replicates):
         c = sample_configuration(model, window, intensity, seed, k)
         if model.kind == "hardcore":
             per.append(hardcore_stab_radii_all(c))
-        elif model.kind == "aloha":
+        else:
             internal, external = aloha_stab_radii_all(c, epsilon, model.beta)
             per.append(np.maximum(internal, external))
-        else:
-            raise UnsupportedModelError(f"{model.kind} has no stabilization radius")
     return StabilizationSample(per, epsilon)
 
 

@@ -372,6 +372,14 @@ class ScoreModel:
         pass
 
 
+def _check_radius_range(model: ScoreModel) -> None:
+    """Spec-time check of a grain model's radius range, so that a bad range
+    exits before a run directory is made."""
+    lo, hi = model.radius_lo, model.radius_hi
+    if not 0.0 < lo <= hi < math.inf:
+        raise ValidationError(f"grain radii need 0 < radius_lo <= radius_hi < inf, got ({lo}, {hi})")
+
+
 # marks are immutable, so every point can share one candidate tuple: a search
 # then builds no marks of its own, and its points read a few hot objects
 _RETAIN_CANDIDATES = (Retain(False), Retain(True))
@@ -383,6 +391,9 @@ class HardcoreModel(ScoreModel):
     kind, sign_regime, opt_mark_class = "hardcore", "nonneg", Retain
     radius_lo: float = 0.05
     radius_hi: float = 0.15
+
+    def __post_init__(self) -> None:
+        _check_radius_range(self)
 
     def score_at(self, c: Configuration, i: int) -> float:
         return hardcore_score_at(c, i)
@@ -421,6 +432,9 @@ class WidomRowlinsonModel(ScoreModel):
     def __post_init__(self) -> None:
         if self.graph not in ("line", "tree"):
             raise ValidationError(f"graph must be line or tree, got {self.graph!r}")
+        lo, hi = self.weight_lo, self.weight_hi
+        if not 0.0 <= lo <= hi < math.inf:
+            raise ValidationError(f"weights need 0 <= weight_lo <= weight_hi < inf, got ({lo}, {hi})")
 
     @property
     def kind(self) -> str:
@@ -583,6 +597,7 @@ class CachingModel(ScoreModel):
             )
         if self.resolution is not None and not 0.0 < self.resolution < math.inf:
             raise ValidationError(f"resolution must be finite and > 0, got {self.resolution}")
+        _check_radius_range(self)
 
     @property
     def n_items(self) -> int:

@@ -934,6 +934,25 @@ OUT_OF_DOMAIN = {
         dict(caching_spec(), model={"kind": "caching", "resolution": 0.0}), "resolution"
     ),
     "p_blue-5": (matching_spec(5.0), "p_blue"),
+    "weights-reversed": (
+        wr_line_spec(model={"kind": "wr_line", "weight_lo": 0.8, "weight_hi": 0.2}), "weight_lo"
+    ),
+    "weight_lo-negative": (
+        wr_line_spec(model={"kind": "wr_line", "weight_lo": -0.5}), "weight_lo"
+    ),
+    "weight_hi-inf": (
+        wr_line_spec(model={"kind": "wr_line", "weight_hi": math.inf}), "weight_hi"
+    ),
+    "radii-reversed": (
+        dict(hardcore_spec(), model={"kind": "hardcore", "radius_lo": 0.6, "radius_hi": 0.2}),
+        "radius_lo",
+    ),
+    "radius_lo-zero": (
+        dict(caching_spec(), model={"kind": "caching", "radius_lo": 0.0}), "radius_lo"
+    ),
+    "radius_hi-inf": (
+        dict(hardcore_spec(), model={"kind": "hardcore", "radius_hi": math.inf}), "radius_hi"
+    ),
 }
 
 

@@ -334,8 +334,10 @@ def test_stabilization_sample_summaries():
 
 
 def test_stabilization_sample_unsupported_model():
-    with pytest.raises(UnsupportedModelError):
-        stabilization_sample(MatchingModel(), periodic_cube(2, 5.0), intensity=1.0)
+    # refused before the first replicate is sampled, so also when there is none
+    for replicates in (100, 0):
+        with pytest.raises(UnsupportedModelError):
+            stabilization_sample(MatchingModel(), periodic_cube(2, 5.0), 1.0, replicates)
 
 
 # -- coverage and identity checks ---------------------------------------------

@@ -1,4 +1,4 @@
-"""The demo and sweep scripts run to completion on small inputs."""
+"""The demo scripts run to completion on small inputs, and the layer sweep in full."""
 
 import ast
 import glob
@@ -11,44 +11,66 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# each script runs with the test's tmp_path as working directory, so a sweep
-# writes its BENCH file there and not over the checked-in one
+# each demo script runs with the test's tmp_path as working directory
 SCRIPT_RUNS = {
     "chain_shields": ["--sites", "200", "--draws", "3", "--trials", "3"],
     "run_demo_pipeline": ["--out", "{tmp}"],
     "stabilization_tails": ["--replicates", "5"],
-    "search_sweep": ["--label", "smoke"],
-    "io_sweep": ["--label", "smoke"],
-    "exact_sweep": ["--label", "smoke"],
 }
-# sweep script -> the BENCH file it writes and the keys of its entry
-BENCH_FILES = {
-    "search_sweep": ("BENCH_search_rounds.json", {"hardcore", "wr_line", "graph_build_rss"}),
-    "io_sweep": ("BENCH_config_io.json", {"io"}),
-    "exact_sweep": ("BENCH_dense_exact.json", {"dense", "aloha_exact_rss"}),
+# layer of the one layer_sweep.py run -> the BENCH file it writes; the run's
+# working directory is a temporary one, so it leaves the checked-in files alone
+SWEEP_LAYERS = {
+    "search_sweep": "BENCH_search_rounds.json",
+    "exact_sweep": "BENCH_dense_exact.json",
+    "io_sweep": "BENCH_config_io.json",
 }
-# the checked-in BENCH files, and those the sweeps write, which must be there
+# the checked-in BENCH files, and those the sweep writes, which must be there
 CHECKED_IN_BENCH = sorted(
     {name for name in os.listdir(ROOT) if name.startswith("BENCH_") and name.endswith(".json")}
-    | {name for name, _ in BENCH_FILES.values()}
+    | set(SWEEP_LAYERS.values())
 )
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPT_RUNS))
-def test_script_exits_0(tmp_path, script):
+def key_tree(obj):
+    """The nested key structure of a BENCH entry: each dict's keys with the
+    structure of their values, and each list's items in order."""
+    if isinstance(obj, dict):
+        return {key: key_tree(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [key_tree(item) for item in obj]
+    return None
+
+
+def run_script(script, args, cwd):
     paths = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    args = [a.format(tmp=tmp_path / "out") for a in SCRIPT_RUNS[script]]
     path = os.path.join(ROOT, "scripts", f"{script}.py")
-    run = subprocess.run([sys.executable, path, *args], env=env, cwd=tmp_path,
+    run = subprocess.run([sys.executable, path, *args], env=env, cwd=cwd,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    if script in BENCH_FILES:
-        name, keys = BENCH_FILES[script]
-        with open(tmp_path / name) as fh:
-            results = json.load(fh)
-        assert set(results) == {"smoke"}
-        assert keys <= set(results["smoke"])
+
+
+@pytest.fixture(scope="module")
+def layer_sweep_dir(tmp_path_factory):
+    """Working directory of one full layer_sweep.py run, shared by its layers."""
+    cwd = tmp_path_factory.mktemp("layer_sweep")
+    run_script("layer_sweep", ["--label", "smoke"], cwd)
+    return cwd
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPT_RUNS) + sorted(SWEEP_LAYERS))
+def test_script_exits_0(request, tmp_path, script):
+    if script in SCRIPT_RUNS:
+        run_script(script, [a.format(tmp=tmp_path / "out") for a in SCRIPT_RUNS[script]], tmp_path)
+        return
+    # every row and key of the checked-in figures, and nothing else
+    name = SWEEP_LAYERS[script]
+    with open(request.getfixturevalue("layer_sweep_dir") / name) as fh:
+        results = json.load(fh)
+    with open(os.path.join(ROOT, name)) as fh:
+        checked_in = json.load(fh)
+    assert set(results) == {"smoke"}
+    assert key_tree(results["smoke"]) == key_tree(checked_in["change"]), name
 
 
 @pytest.mark.parametrize("name", CHECKED_IN_BENCH)
